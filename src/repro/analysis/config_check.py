@@ -1,11 +1,20 @@
-"""CFG rules: FaultPlan and bench-case configs as pure checkers.
+"""CFG rules: the repo's config DSLs and bench cases as pure checkers.
 
-Both configs already have parsers/validators at their point of use —
-:meth:`repro.dist.faults.FaultPlan.parse` and
-:meth:`repro.obs.bench.BenchSuite.add` — but those fire mid-run, after
-the expensive work started. Re-using them here turns the same logic
-into a pre-flight check that reports ``file:line`` findings instead of
-raising from inside a coordinator or a bench sweep.
+Every config here already has a validator at its point of use — the
+``parse`` classmethods of :class:`~repro.dist.faults.FaultPlan`,
+:class:`~repro.serve.traffic.TrafficMix`,
+:class:`~repro.obs.slo.SLOSpec` and
+:class:`~repro.serve.resilience.BreakerConfig`, and
+:meth:`repro.obs.bench.BenchSuite.add` — but those fire mid-run or at
+boot, after the expensive work started. Re-using them here turns the
+same logic into a pre-flight check that reports ``file:line`` findings
+instead of raising from inside a coordinator, a load test or a bench
+sweep.
+
+The string-literal DSLs share one shape: :data:`LITERAL_CHECKERS`
+maps the ``Class.parse`` callee the scanner looks for to its checker,
+and every checker except the fault plan's (which splits CFG001 from
+CFG002) is the same lazy parse-or-finding wrapper.
 
 * **CFG001** — a fault-plan spec string fails to parse;
 * **CFG002** — a fault plan schedules two faults for the same
@@ -30,9 +39,10 @@ raising from inside a coordinator or a bench sweep.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import json
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.findings import AnalysisReport, Severity
 from repro.analysis.registry import finding, register_rule
@@ -42,7 +52,7 @@ if TYPE_CHECKING:
     from repro.obs.bench import BenchSuite
 
 #: bumped whenever rule behavior changes; keys the scan-result cache.
-RULE_VERSION = "1"
+RULE_VERSION = "2"
 
 register_rule(
     "CFG001", "config", Severity.ERROR,
@@ -58,18 +68,6 @@ register_rule(
 register_rule(
     "CFG004", "config", Severity.ERROR,
     "bench case baseline_case references an unregistered case")
-register_rule(
-    "CFG005", "config", Severity.ERROR,
-    "traffic-mix spec is invalid (unknown op, negative weight, or "
-    "weights not summing to 1)")
-register_rule(
-    "CFG006", "config", Severity.ERROR,
-    "SLO spec is invalid (bad grammar, unknown op, non-positive "
-    "threshold, or target outside (0, 1])")
-register_rule(
-    "CFG007", "config", Severity.ERROR,
-    "breaker/deadline config is invalid (unknown key, non-numeric "
-    "value, or out-of-range window/threshold/probes/cooldown)")
 
 
 def check_fault_plan(spec: str, *, file: str = "<fault-plan>",
@@ -101,57 +99,57 @@ def check_fault_plan_object(plan: FaultPlan, *,
     return report
 
 
-def check_traffic_mix(spec: str, *, file: str = "<traffic-mix>",
-                      line: int = 0) -> AnalysisReport:
-    """Validate a ``read=0.7,write=0.2,algo=0.1`` traffic-mix string
-    without booting a server or generating load."""
-    # Imported lazily: repro.serve imports repro.graphdb and
-    # repro.workloads; the analysis layer must stay importable
-    # without dragging the whole serving stack in.
-    from repro.serve.traffic import TrafficMix
+def _parse_checker(rule_id: str, summary: str, target: str,
+                   default_file: str) -> Callable[..., AnalysisReport]:
+    """Register ``rule_id`` and return a checker that runs
+    ``target``'s ``parse`` over a spec string, turning its
+    ``ValueError`` into one ``rule_id`` finding.
 
-    report = AnalysisReport()
-    report.note_target(file)
-    try:
-        TrafficMix.parse(spec)
-    except ValueError as error:
-        report.add(finding("CFG005", str(error), file=file, line=line))
-    return report
+    ``target`` is ``"module:Class"``, imported on first use: the
+    serve stack behind a traffic-mix or breaker literal is only loaded
+    when such a literal is actually checked.
+    """
+    register_rule(rule_id, "config", Severity.ERROR, summary)
+    module, _, name = target.partition(":")
 
+    def check(spec: str, *, file: str = default_file,
+              line: int = 0) -> AnalysisReport:
+        parse = getattr(importlib.import_module(module), name).parse
+        report = AnalysisReport()
+        report.note_target(file)
+        try:
+            parse(spec)
+        except ValueError as error:
+            report.add(finding(rule_id, str(error), file=file, line=line))
+        return report
 
-def check_slo_spec(spec: str, *, file: str = "<slo>",
-                   line: int = 0) -> AnalysisReport:
-    """Validate one ``latency:OP<Nms@T`` / ``errors:OP@T`` SLO literal
-    without standing up a monitor."""
-    # Lazy for symmetry with check_traffic_mix — repro.obs.slo is
-    # light, but the analysis layer imports nothing it is not asked
-    # to check.
-    from repro.obs.slo import SLOSpec
-
-    report = AnalysisReport()
-    report.note_target(file)
-    try:
-        SLOSpec.parse(spec)
-    except ValueError as error:
-        report.add(finding("CFG006", str(error), file=file, line=line))
-    return report
+    check.__doc__ = f"Validate one ``{name}.parse`` literal ({rule_id})."
+    return check
 
 
-def check_breaker_config(spec: str, *, file: str = "<breaker>",
-                         line: int = 0) -> AnalysisReport:
-    """Validate a ``window=20,threshold=0.5,...`` breaker literal
-    (optionally carrying ``deadline_ms``) without arming a breaker."""
-    # Lazy for the same reason as check_traffic_mix: the serve stack
-    # is only imported when a breaker literal is actually checked.
-    from repro.serve.resilience import BreakerConfig
+check_traffic_mix = _parse_checker(
+    "CFG005", "traffic-mix spec is invalid (unknown op, negative "
+    "weight, or weights not summing to 1)",
+    "repro.serve.traffic:TrafficMix", "<traffic-mix>")
+check_slo_spec = _parse_checker(
+    "CFG006", "SLO spec is invalid (bad grammar, unknown op, "
+    "non-positive threshold, or target outside (0, 1])",
+    "repro.obs.slo:SLOSpec", "<slo>")
+check_breaker_config = _parse_checker(
+    "CFG007", "breaker/deadline config is invalid (unknown key, "
+    "non-numeric value, or out-of-range "
+    "window/threshold/probes/cooldown)",
+    "repro.serve.resilience:BreakerConfig", "<breaker>")
 
-    report = AnalysisReport()
-    report.note_target(file)
-    try:
-        BreakerConfig.parse(spec)
-    except ValueError as error:
-        report.add(finding("CFG007", str(error), file=file, line=line))
-    return report
+#: Callee suffix -> checker for the config DSLs whose string literals
+#: the scanner lints. A new DSL is one row, its checker usually one
+#: ``_parse_checker(rule id, summary, "module:Class", default file)``.
+LITERAL_CHECKERS: dict[str, Callable[..., AnalysisReport]] = {
+    "FaultPlan.parse": check_fault_plan,
+    "TrafficMix.parse": check_traffic_mix,
+    "BreakerConfig.parse": check_breaker_config,
+    "SLOSpec.parse": check_slo_spec,
+}
 
 
 def check_bench_cases(suite: "BenchSuite") -> AnalysisReport:

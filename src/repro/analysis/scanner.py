@@ -6,12 +6,10 @@ and runs the matching rule families:
 * functions following the vertex-program calling convention (a single
   ``ctx``/``context`` or ``VertexContext``-annotated parameter) get
   the DET determinism and CKPT checkpoint-safety lints;
-* ``FaultPlan.parse("...")`` string literals get the CFG fault-plan
-  checks (including duplicate-slot rejection);
-* ``TrafficMix.parse("...")`` string literals get the CFG005
-  traffic-mix checks (known op names, weights summing to 1);
-* ``BreakerConfig.parse("...")`` string literals get the CFG007
-  breaker/deadline checks (known keys, in-range window/threshold);
+* ``FaultPlan.parse("...")``, ``TrafficMix.parse("...")``,
+  ``BreakerConfig.parse("...")`` and ``SLOSpec.parse("...")`` string
+  literals get their CFG checks, one row each in
+  :data:`~repro.analysis.config_check.LITERAL_CHECKERS`;
 * ``run_query(graph, "...")`` / ``repro.query.parse("...")`` string
   literals get the QRY parse + unbound-variable checks (schema-aware
   checks need a live :class:`~repro.graphs.schema.GraphSchema`, so
@@ -50,12 +48,7 @@ from repro.analysis.astutils import (
 )
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.query_check import check_query
-from repro.analysis.config_check import (
-    check_breaker_config,
-    check_fault_plan,
-    check_slo_spec,
-    check_traffic_mix,
-)
+from repro.analysis.config_check import LITERAL_CHECKERS
 from repro.analysis.registry import finding, register_rule
 from repro.analysis.suppressions import (
     Suppression,
@@ -111,48 +104,20 @@ def _query_literal(node: ast.Call) -> tuple[str, ast.expr] | None:
     return None
 
 
-def _fault_plan_literal(node: ast.Call) -> tuple[str, ast.expr] | None:
+def _config_literal(node: ast.Call) -> tuple[
+        Callable[..., AnalysisReport], ast.expr, str] | None:
+    """(checker, literal node, text) when ``node`` calls a config
+    DSL's ``Class.parse`` with a string literal. The callee must *be*
+    that dotted name or end in ``.`` + it: ``LegacyFaultPlan.parse``
+    is not ``FaultPlan.parse``."""
     dotted = dotted_name(node.func)
-    if dotted is None or not dotted.endswith("FaultPlan.parse"):
+    if dotted is None or not node.args:
         return None
-    if node.args:
-        text = const_str(node.args[0])
-        if text is not None:
-            return text, node.args[0]
-    return None
-
-
-def _traffic_mix_literal(node: ast.Call) -> tuple[str, ast.expr] | None:
-    dotted = dotted_name(node.func)
-    if dotted is None or not dotted.endswith("TrafficMix.parse"):
+    checker = LITERAL_CHECKERS.get(".".join(dotted.rsplit(".", 2)[-2:]))
+    text = const_str(node.args[0])
+    if checker is None or text is None:
         return None
-    if node.args:
-        text = const_str(node.args[0])
-        if text is not None:
-            return text, node.args[0]
-    return None
-
-
-def _breaker_literal(node: ast.Call) -> tuple[str, ast.expr] | None:
-    dotted = dotted_name(node.func)
-    if dotted is None or not dotted.endswith("BreakerConfig.parse"):
-        return None
-    if node.args:
-        text = const_str(node.args[0])
-        if text is not None:
-            return text, node.args[0]
-    return None
-
-
-def _slo_literal(node: ast.Call) -> tuple[str, ast.expr] | None:
-    dotted = dotted_name(node.func)
-    if dotted is None or not dotted.endswith("SLOSpec.parse"):
-        return None
-    if node.args:
-        text = const_str(node.args[0])
-        if text is not None:
-            return text, node.args[0]
-    return None
+    return checker, node.args[0], text
 
 
 # Parsed-AST cache, keyed by file path. ``analysis.full_sweep`` is
@@ -280,31 +245,10 @@ def _scan_tree(
             continue
         if not isinstance(node, ast.Call):
             continue
-        fault_literal = _fault_plan_literal(node)
-        if fault_literal is not None:
-            text, literal = fault_literal
-            sub = _timed("config", check_fault_plan, text,
-                         file=file, line=literal.lineno)
-            report.findings.extend(sub.findings)
-            continue
-        mix_literal = _traffic_mix_literal(node)
-        if mix_literal is not None:
-            text, literal = mix_literal
-            sub = _timed("config", check_traffic_mix, text,
-                         file=file, line=literal.lineno)
-            report.findings.extend(sub.findings)
-            continue
-        breaker_literal = _breaker_literal(node)
-        if breaker_literal is not None:
-            text, literal = breaker_literal
-            sub = _timed("config", check_breaker_config, text,
-                         file=file, line=literal.lineno)
-            report.findings.extend(sub.findings)
-            continue
-        slo_literal = _slo_literal(node)
-        if slo_literal is not None:
-            text, literal = slo_literal
-            sub = _timed("config", check_slo_spec, text,
+        config_literal = _config_literal(node)
+        if config_literal is not None:
+            checker, literal, text = config_literal
+            sub = _timed("config", checker, text,
                          file=file, line=literal.lineno)
             report.findings.extend(sub.findings)
             continue

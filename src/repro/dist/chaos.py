@@ -46,6 +46,7 @@ from repro.dist.faults import FaultPlan
 from repro.dist.resilience import RetryPolicy
 from repro.generators import gnm_random_graph
 from repro.graphs.adjacency import Graph
+from repro.obs.metrics import counter_deltas
 
 #: fault classes the schedule generator samples from.
 FAULT_KINDS = ("kill", "flaky", "drop", "duplicate", "slow", "corrupt")
@@ -111,10 +112,9 @@ def _spec_for(algorithm: str, graph: Graph, supersteps: int):
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _counter_deltas(before: dict[str, float]) -> dict[str, float]:
+def _counters() -> dict[str, float]:
     registry = obs.get_registry()
-    return {name: registry.counter(name).value - before[name]
-            for name in COUNTERS}
+    return {name: registry.counter(name).value for name in COUNTERS}
 
 
 def corrupted_latest_probe(
@@ -191,14 +191,12 @@ def run_chaos(
             return InMemoryCheckpointStore()
         return JsonCheckpointStore(f"{store_dir}/{tag}")
 
-    registry = obs.get_registry()
     report: dict[str, Any] = {
         "seed": seed, "k": k, "vertices": vertices, "store": store,
         "runs": [],
     }
-    totals_before = {name: registry.counter(name).value
-                     for name in COUNTERS}
-    recovery_hist = registry.histogram("dist.recovery_ms")
+    totals_before = _counters()
+    recovery_hist = obs.get_registry().histogram("dist.recovery_ms")
 
     for index in range(runs):
         rng = random.Random(seed * 100003 + index)
@@ -212,14 +210,13 @@ def run_chaos(
         # Sparse checkpointing widens replay distances — recovery must
         # rewind further than the superstep the fault surfaced at.
         checkpoint_every = rng.randint(1, 3)
-        before = {name: registry.counter(name).value
-                  for name in COUNTERS}
+        before = _counters()
         faulted = run_distributed_pregel(
             graph, spec, k=k, seed=seed, fault_plan=plan,
             checkpoint_store=store_factory(f"run-{index:02d}"),
             checkpoint_every=checkpoint_every,
             retry_policy=retry_policy)
-        deltas = _counter_deltas(before)
+        deltas = counter_deltas(before, _counters())
         report["runs"].append({
             "run": index,
             "algorithm": algorithm,
@@ -231,8 +228,9 @@ def run_chaos(
             "identical": repr(faulted.values) == repr(clean.values),
             "faults": {name.rsplit(".", 1)[-1]: int(value)
                        for name, value in deltas.items()
-                       if name.startswith("dist.faults.") and value},
-            "corrupt_skipped": int(deltas["dist.checkpoint_corrupt"]),
+                       if name.startswith("dist.faults.")},
+            "corrupt_skipped": int(
+                deltas.get("dist.checkpoint_corrupt", 0)),
             "recovery_events": [event.to_dict()
                                 for event in faulted.recovery_events],
         })
@@ -241,10 +239,9 @@ def run_chaos(
         vertices=min(vertices, 40), k=k, seed=seed,
         store_factory=(lambda: store_factory("probe"))
         if store == "json" else None)
-    report["totals"] = {
-        name: int(registry.counter(name).value - totals_before[name])
-        for name in COUNTERS
-    }
+    totals = counter_deltas(totals_before, _counters())
+    report["totals"] = {name: int(totals.get(name, 0))
+                        for name in COUNTERS}
     report["totals"]["replayed_supersteps"] = sum(
         row["replayed"] for row in report["runs"])
     summary = recovery_hist.summary()

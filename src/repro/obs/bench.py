@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import platform
 import subprocess
 import sys
@@ -41,7 +40,11 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.obs.export import OBS_SCHEMA, _jsonable
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import (
+    counter_deltas,
+    get_registry,
+    percentile_exact,
+)
 from repro.obs.spans import capture
 
 #: Version tag on ``BENCH_*.json`` artifacts; bump on shape changes.
@@ -174,23 +177,6 @@ class BenchSuite:
 # ---------------------------------------------------------------------------
 
 
-def percentile_exact(samples: Iterable[float], p: float) -> float:
-    """Linear-interpolation percentile over raw samples (numpy's
-    default method, without numpy -- the repetition lists are tiny)."""
-    ordered = sorted(samples)
-    if not ordered:
-        raise ValueError("percentile of no samples")
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (p / 100.0) * (len(ordered) - 1)
-    lower = math.floor(position)
-    upper = math.ceil(position)
-    if lower == upper:
-        return ordered[lower]
-    fraction = position - lower
-    return ordered[lower] + fraction * (ordered[upper] - ordered[lower])
-
-
 def timing_stats(timings_ms: list[float]) -> dict[str, float]:
     return {
         "min": min(timings_ms),
@@ -277,9 +263,7 @@ def run_case(case: BenchCase, *, reps: int = 5,
     # below never shows up in them, in the span stats, or in timings.
     with AllocationTracker() as alloc:
         case.run()
-    deltas = {name: value - before.get(name, 0)
-              for name, value in after.items()
-              if value - before.get(name, 0)}
+    deltas = counter_deltas(before, after)
     span_names: dict[str, int] = {}
     total_spans = 0
     for root in trace.roots:

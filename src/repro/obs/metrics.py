@@ -16,6 +16,10 @@ Instruments:
   (clamped to the observed min/max; the overflow bucket reports the
   observed maximum), so the error is bounded by one bucket width
   rather than always rounding up to the bucket's upper bound.
+
+Two helpers serve every harness that holds raw data instead of
+instruments: :func:`percentile_exact` over raw latency samples and
+:func:`counter_deltas` between two counter snapshots.
 """
 
 from __future__ import annotations
@@ -23,13 +27,42 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Any
+from typing import Any, Iterable, Mapping
 
 #: Default histogram upper bounds, tuned for millisecond timings.
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0,
     100.0, 500.0, 1000.0, 5000.0, 10000.0,
 )
+
+
+def percentile_exact(samples: Iterable[float], p: float) -> float:
+    """Linear-interpolation percentile over raw samples (numpy's
+    default method, without numpy); raises on no samples."""
+    ordered = sorted(samples)
+    if not ordered:
+        raise ValueError("percentile of no samples")
+    if len(ordered) == 1:
+        return ordered[0]
+    position = (p / 100.0) * (len(ordered) - 1)
+    lower = math.floor(position)
+    upper = math.ceil(position)
+    if lower == upper:
+        return ordered[lower]
+    fraction = position - lower
+    return ordered[lower] + fraction * (ordered[upper] - ordered[lower])
+
+
+def counter_deltas(before: Mapping[str, float],
+                   after: Mapping[str, float]) -> dict[str, float]:
+    """The non-zero ``after - before`` of every counter in ``after``
+    (absent from ``before`` counts as 0), in ``after``'s order."""
+    deltas: dict[str, float] = {}
+    for name, value in after.items():
+        delta = value - before.get(name, 0)
+        if delta:
+            deltas[name] = delta
+    return deltas
 
 
 class Counter:

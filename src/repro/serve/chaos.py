@@ -306,13 +306,7 @@ def run_serve_chaos(*, seed: int = 7, runs: int = 3,
     from repro import obs
     from repro.serve.server import start_server
     from repro.serve.service import GraphService
-    from repro.serve.traffic import (
-        ServeClient,
-        TrafficMix,
-        _entry_request,
-        _percentile,
-        build_schedule,
-    )
+    from repro.serve.traffic import TrafficMix, build_schedule
 
     mix = mix or TrafficMix(read=0.5, write=0.2, algo=0.3)
     base_plan = build_schedule(seed, clients, requests, mix)
@@ -334,10 +328,7 @@ def run_serve_chaos(*, seed: int = 7, runs: int = 3,
         try:
             run_reports.append(
                 _drive_run(handle.base_url, plan, injector,
-                           run=run, seed=seed, graph_id=graph_id,
-                           entry_request=_entry_request,
-                           percentile=_percentile,
-                           client_cls=ServeClient))
+                           run=run, seed=seed, graph_id=graph_id))
         finally:
             handle.shutdown()
 
@@ -400,46 +391,15 @@ def run_serve_chaos(*, seed: int = 7, runs: int = 3,
 
 def _drive_run(url: str, plan: list[list[dict[str, Any]]],
                injector: ChaosInjector, *, run: int, seed: int,
-               graph_id: str, entry_request, percentile,
-               client_cls) -> dict[str, Any]:
-    admin = client_cls(url)
-    status, _ = admin.request(
-        "POST", "/graphs",
-        {"graph_id": graph_id, "scenario": "product", "seed": seed})
-    if status not in (201, 409):
-        raise RuntimeError(
-            f"could not host chaos graph: HTTP {status}")
+               graph_id: str) -> dict[str, Any]:
+    from repro.serve.traffic import (
+        ServeClient,
+        latency_percentiles,
+        replay,
+    )
 
-    results: list[dict[str, Any]] = []
-    results_lock = threading.Lock()
-
-    def worker(index: int, schedule: list[dict[str, Any]]) -> None:
-        client = client_cls(
-            url, rng=random.Random(seed * 2000003 + index))
-        local: list[dict[str, Any]] = []
-        for entry in schedule:
-            method, path, payload = entry_request(graph_id, entry)
-            headers = ({CHAOS_HEADER: entry["chaos"]}
-                       if "chaos" in entry else None)
-            start = time.perf_counter()
-            code, body = client.request(method, path, payload,
-                                        headers=headers)
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            local.append({"op": entry["op"], "status": code,
-                          "latency_ms": elapsed_ms,
-                          "stale": bool(body.get("stale"))})
-        client.close()
-        with results_lock:
-            results.extend(local)
-
-    threads = [threading.Thread(target=worker, args=(i, schedule),
-                                name=f"chaos-{run}-{i}")
-               for i, schedule in enumerate(plan)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
+    results, _ = replay(url, plan, seed=seed, graph_id=graph_id)
+    admin = ServeClient(url)
     _, breakers = admin.request("GET", "/debug/breakers")
     _, slo = admin.request("GET", "/debug/slo")
     admin.close()
@@ -459,11 +419,7 @@ def _drive_run(url: str, plan: list[list[dict[str, Any]]],
                             if r["status"] == 504),
         "errors_5xx": sum(1 for r in results
                           if r["status"] == 500),
-        "latency_ms": {
-            "p50": round(percentile(latencies, 50), 3),
-            "p95": round(percentile(latencies, 95), 3),
-            "p99": round(percentile(latencies, 99), 3),
-        },
+        "latency_ms": latency_percentiles(latencies),
         "injected": injector.stats(),
         "breaker_opened": any(t["to"] == "open"
                               for t in transitions),

@@ -264,16 +264,16 @@ class GraphService:
     # -- resilience plumbing ---------------------------------------------
 
     @contextmanager
-    def _breaker_guard(self, op: str, sp: Any) -> Iterator[None]:
+    def _breaker_guard(self, op: str, sp: Any) -> Iterator[str]:
         """Pass one request through ``op``'s circuit breaker.
 
         Acquire (which may shed with
-        :class:`~repro.serve.errors.BreakerOpen`), run the body, then
-        record the outcome — only server faults (mapped status >=
-        500) feed the error window, so client 4xx and the breaker's
-        own sheds never trip it. The chaos hook runs *inside* the
-        guard: injected faults are indistinguishable from organic
-        ones.
+        :class:`~repro.serve.errors.BreakerOpen`), run the body with
+        the acquire kind (``"closed"`` or ``"probe"``), then record
+        the outcome — only server faults (mapped status >= 500) feed
+        the error window, so client 4xx and the breaker's own sheds
+        never trip it. The chaos hook runs *inside* the guard:
+        injected faults are indistinguishable from organic ones.
         """
         breaker = self.breakers.for_op(op)
         kind = breaker.acquire()
@@ -282,7 +282,7 @@ class GraphService:
         try:
             if self.chaos is not None:
                 self.chaos.apply(op, sp)
-            yield
+            yield kind
         except BaseException as exc:
             breaker.record(kind, error=error_status(exc) >= 500)
             raise
@@ -425,24 +425,9 @@ class GraphService:
             def q_ms() -> float:
                 return (time.perf_counter() - q_start) * 1000.0
 
-            breaker = self.breakers.for_op("query")
             try:
-                kind = breaker.acquire()
-            except BreakerOpen:
-                stale = (self._stale_response(graph_id, text, sp,
-                                              q_ms, trace_id)
-                         if use_cache else None)
-                if stale is not None:
-                    return stale
-                if is_enabled():
-                    get_registry().inc("serve.degraded.shed")
-                raise
-            if kind == "probe":
-                sp.set("breaker", "probe")
-            try:
-                if self.chaos is not None:
-                    self.chaos.apply("query", sp)
-                with handle.lock:
+                with self._breaker_guard("query", sp) as kind, \
+                        handle.lock:
                     version = handle.db.data_version
                     if use_cache:
                         cached = self.cache.get(graph_id, version,
@@ -452,7 +437,6 @@ class GraphService:
                             self.slowlog.record(text, q_ms(),
                                                 cached=True,
                                                 trace_id=trace_id)
-                            breaker.record(kind, error=False)
                             return {**cached, "cache": "hit"}
                         if kind == "closed" \
                                 and self.breakers.degraded():
@@ -463,7 +447,6 @@ class GraphService:
                             stale = self._stale_response(
                                 graph_id, text, sp, q_ms, trace_id)
                             if stale is not None:
-                                breaker.record(kind, error=False)
                                 return stale
                     # QRY pre-flight (strict): parse errors, unbound
                     # variables — and schema findings when the database
@@ -479,14 +462,22 @@ class GraphService:
                     if use_cache:
                         self.cache.put(graph_id, version, text,
                                        payload)
+            except BreakerOpen:
+                # The query breaker is open: answer from history,
+                # explicitly marked stale, or shed.
+                stale = (self._stale_response(graph_id, text, sp,
+                                              q_ms, trace_id)
+                         if use_cache else None)
+                if stale is not None:
+                    return stale
+                if is_enabled():
+                    get_registry().inc("serve.degraded.shed")
+                raise
             except Exception as exc:
-                breaker.record(kind,
-                               error=error_status(exc) >= 500)
                 self.slowlog.record(text, q_ms(),
                                     error=type(exc).__name__,
                                     trace_id=trace_id)
                 raise
-            breaker.record(kind, error=False)
             sp.set("cache", "miss")
             sp.set("rows", payload["row_count"])
             self.slowlog.record(text, q_ms(), trace_id=trace_id)

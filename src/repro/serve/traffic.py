@@ -37,8 +37,10 @@ from typing import Any
 from urllib.parse import urlsplit
 
 from repro.dist.resilience import RetryPolicy
+from repro.obs.metrics import counter_deltas, percentile_exact
 from repro.obs.slo import evaluate_samples
 from repro.obs.trace_context import TRACE_HEADER
+from repro.serve.chaos import CHAOS_HEADER
 
 #: Client-side connection retries share the recovery layer's
 #: RetryPolicy (exponential backoff + cap); the jitter fraction
@@ -248,15 +250,59 @@ def _entry_request(graph_id: str,
             payload)
 
 
-def _percentile(latencies: list[float], q: float) -> float:
-    """Exact nearest-rank percentile over raw samples (the client has
-    every observation, so no bucket interpolation is needed)."""
-    if not latencies:
-        return 0.0
-    ordered = sorted(latencies)
-    rank = max(0, min(len(ordered) - 1,
-                      round(q / 100.0 * (len(ordered) - 1))))
-    return ordered[rank]
+def replay(url: str, plan: list[list[dict[str, Any]]], *, seed: int,
+           graph_id: str) -> tuple[list[dict[str, Any]], float]:
+    """Host the seeded product graph as ``graph_id`` (reusing one
+    already hosted), then replay ``plan`` closed-loop: one thread and
+    one seeded :class:`ServeClient` per client schedule.
+
+    An entry carrying ``"chaos"`` sends it as the ``X-Repro-Chaos``
+    header. Returns one record per request (``op``, ``status``,
+    ``latency_ms``, ``cache``, ``stale``, ``trace_id``) and the
+    replay's wall-clock seconds.
+    """
+    admin = ServeClient(url)
+    status, _ = admin.request(
+        "POST", "/graphs",
+        {"graph_id": graph_id, "scenario": "product", "seed": seed})
+    admin.close()
+    if status not in (201, 409):  # 409: already hosted — reuse
+        raise RuntimeError(
+            f"could not host graph {graph_id!r}: HTTP {status}")
+
+    results: list[dict[str, Any]] = []
+    results_lock = threading.Lock()
+
+    def worker(index: int, schedule: list[dict[str, Any]]) -> None:
+        client = ServeClient(
+            url, rng=random.Random(seed * 2000003 + index))
+        local: list[dict[str, Any]] = []
+        for entry in schedule:
+            method, path, payload = _entry_request(graph_id, entry)
+            headers = ({CHAOS_HEADER: entry["chaos"]}
+                       if "chaos" in entry else None)
+            start = time.perf_counter()
+            status, body = client.request(method, path, payload,
+                                          headers=headers)
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            local.append({"op": entry["op"], "status": status,
+                          "latency_ms": elapsed_ms,
+                          "cache": body.get("cache"),
+                          "stale": bool(body.get("stale")),
+                          "trace_id": client.last_trace_id})
+        client.close()
+        with results_lock:
+            results.extend(local)
+
+    threads = [threading.Thread(target=worker, args=(i, schedule),
+                                name=f"replay-{i}")
+               for i, schedule in enumerate(plan)]
+    wall_start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results, time.perf_counter() - wall_start
 
 
 def run_traffic(url: str | None = None, *, seed: int = 7,
@@ -283,50 +329,12 @@ def run_traffic(url: str | None = None, *, seed: int = 7,
         url = handle.base_url
     try:
         admin = ServeClient(url)
-        status, _ = admin.request(
-            "POST", "/graphs",
-            {"graph_id": graph_id, "scenario": "product",
-             "seed": seed})
-        if status not in (201, 409):  # 409: already hosted — reuse
-            raise RuntimeError(
-                f"could not host traffic graph: HTTP {status}")
         # Snapshot counters *before* the run: against a long-lived
         # server the absolute values include pre-run traffic, so the
         # report works in deltas.
         _, metrics_before = admin.request("GET", "/metrics")
-
-        results: list[dict[str, Any]] = []
-        results_lock = threading.Lock()
-
-        def worker(index: int,
-                   schedule: list[dict[str, Any]]) -> None:
-            client = ServeClient(
-                url, rng=random.Random(seed * 2000003 + index))
-            local: list[dict[str, Any]] = []
-            for entry in schedule:
-                method, path, payload = _entry_request(graph_id,
-                                                       entry)
-                start = time.perf_counter()
-                status, body = client.request(method, path, payload)
-                elapsed_ms = (time.perf_counter() - start) * 1000.0
-                local.append({"op": entry["op"], "status": status,
-                              "latency_ms": elapsed_ms,
-                              "cache": body.get("cache"),
-                              "trace_id": client.last_trace_id})
-            client.close()
-            with results_lock:
-                results.extend(local)
-
-        threads = [threading.Thread(target=worker, args=(i, schedule),
-                                    name=f"traffic-{i}")
-                   for i, schedule in enumerate(plan)]
-        wall_start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall_s = time.perf_counter() - wall_start
-
+        results, wall_s = replay(url, plan, seed=seed,
+                                 graph_id=graph_id)
         _, metrics_after = admin.request("GET", "/metrics")
         admin.close()
         return _report(results, wall_s, metrics_before, metrics_after,
@@ -337,13 +345,12 @@ def run_traffic(url: str | None = None, *, seed: int = 7,
             handle.shutdown()
 
 
-def _counter_delta(before: dict[str, Any], after: dict[str, Any],
-                   name: str) -> int:
-    """This run's contribution to one monotonic counter (clamped at 0
-    in case the server restarted mid-run)."""
-    b = before.get("counters", {}).get(name, 0)
-    a = after.get("counters", {}).get(name, 0)
-    return max(0, a - b)
+def latency_percentiles(latencies: list[float]) -> dict[str, float]:
+    """Exact p50/p95/p99 of the successful requests' latencies, all
+    0.0 when there were none."""
+    return {f"p{q}": (round(percentile_exact(latencies, q), 3)
+                      if latencies else 0.0)
+            for q in (50, 95, 99)}
 
 
 def _report(results: list[dict[str, Any]], wall_s: float,
@@ -356,10 +363,11 @@ def _report(results: list[dict[str, Any]], wall_s: float,
     shed = sum(1 for r in results if r["status"] in (429, 503))
     errors = sum(1 for r in results
                  if r["status"] not in (200, 429, 503))
-    hits = _counter_delta(metrics_before, metrics_after,
-                          "serve.cache_hits")
-    misses = _counter_delta(metrics_before, metrics_after,
-                            "serve.cache_misses")
+    deltas = counter_deltas(metrics_before.get("counters", {}),
+                            metrics_after.get("counters", {}))
+    # Clamped at 0 in case the server restarted mid-run.
+    hits = max(0, deltas.get("serve.cache_hits", 0))
+    misses = max(0, deltas.get("serve.cache_misses", 0))
     by_op: dict[str, int] = {}
     for r in results:
         by_op[r["op"]] = by_op.get(r["op"], 0) + 1
@@ -379,11 +387,7 @@ def _report(results: list[dict[str, Any]], wall_s: float,
         "errors": errors,
         "wall_s": round(wall_s, 4),
         "throughput_rps": round(total / wall_s, 2) if wall_s else 0.0,
-        "latency_ms": {
-            "p50": round(_percentile(latencies, 50), 3),
-            "p95": round(_percentile(latencies, 95), 3),
-            "p99": round(_percentile(latencies, 99), 3),
-        },
+        "latency_ms": latency_percentiles(latencies),
         "shed_rate": round(shed / total, 4) if total else 0.0,
         "cache": {
             "hits": hits,

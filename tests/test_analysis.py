@@ -176,6 +176,20 @@ class TestFaultPlanChecks:
         report = check_fault_plan("definitely not a fault spec")
         assert [f.rule for f in report.findings] == ["CFG001"]
 
+    def test_config_literals_match_whole_dotted_names(self):
+        from repro.analysis.scanner import scan_source
+
+        source = (
+            'LegacyFaultPlan.parse("nonsense")\n'
+            'MyTrafficMix.parse("nonsense")\n'
+            'x.OldBreakerConfig.parse("nonsense")\n'
+            'NotSLOSpec.parse("nonsense")\n'
+            'dist.FaultPlan.parse("nonsense")\n'
+            'FaultPlan.parse("nonsense")\n')
+        report = scan_source(source, "demo.py")
+        assert [(f.rule, f.line) for f in report.findings] == \
+            [("CFG001", 5), ("CFG001", 6)]
+
 
 class TestQueryChecks:
     @pytest.fixture()

@@ -36,7 +36,7 @@ from repro.serve.chaos import (
     run_serve_chaos,
     schedule_digest,
 )
-from repro.serve.resilience import CircuitBreaker
+from repro.serve.resilience import BreakerBoard, CircuitBreaker
 from repro.serve.traffic import ServeClient, TrafficMix, build_schedule
 
 PLACED = "MATCH (c:Customer)-[:PLACED]->(o:Order) RETURN c, o"
@@ -309,6 +309,54 @@ class TestDegradedModes:
         self._trip(service, "algorithm")
         degraded = service.query("g1", PLACED)
         assert degraded["stale"] is True
+
+    def test_half_open_probe_runs_the_real_query_despite_stale(self):
+        clock = FakeClock()
+        board = BreakerBoard(BreakerConfig(
+            window=4, threshold=0.5, min_requests=2, probes=1,
+            cooldown_s=5.0), clock=clock)
+        service = product_service(breaker=board)
+        service.query("g1", PLACED)  # a superseded entry to fall back on
+        service.mutate("g1", [{"op": "set_property",
+                               "vertex": "customer:1",
+                               "key": "last_seen", "value": "now"}])
+        self._trip(service, "query")
+        clock.advance(5.1)
+        obs.enable()
+        with obs.capture() as trace:
+            probed = service.query("g1", PLACED)
+        assert probed["cache"] == "miss"
+        assert "stale" not in probed
+        [root] = trace.roots
+        assert root.attributes["breaker"] == "probe"
+        assert root.attributes["cache"] == "miss"
+        # The one successful probe closed the breaker.
+        assert service.breakers.for_op("query").state == "closed"
+
+    def test_only_server_faults_count_in_the_query_window(self):
+        service = product_service()
+        breaker = service.breakers.for_op("query")
+        with pytest.raises(Exception) as bad_query:
+            service.query("g1", "MATCH (c:Customer RETURN c")
+        assert error_status(bad_query.value) == 400
+        assert breaker.stats()["window_size"] == 1
+        assert breaker.stats()["error_rate"] == 0.0
+        service.chaos = ChaosInjector()
+        with chaos_scope(ChaosDirective(error=True)):
+            with pytest.raises(InjectedServeFault):
+                service.query("g1", PLACED)
+        assert breaker.stats()["window_size"] == 2
+        assert breaker.stats()["error_rate"] == 0.5
+
+    def test_failing_query_leaves_an_error_slowlog_row(self):
+        service = product_service()
+        text = "MATCH (c:Customer RETURN c"
+        with pytest.raises(Exception):
+            service.query("g1", text)
+        [row] = service.debug_slowlog()["slowlog"]
+        assert row["count"] == 1
+        assert row["errors"] == 1
+        assert row["last_error"] == "QueryError"
 
     def test_breaker_debug_endpoint_reports_transitions(self):
         service = product_service(breaker="window=4,threshold=0.5,"

@@ -429,6 +429,35 @@ class TestTrafficHarness:
         # client-side guesswork.
         assert report["cache"]["hits"] + report["cache"]["misses"] > 0
 
+    @pytest.mark.parametrize("samples", [
+        [10.0, 20.0],
+        [10.0, 20.0, 30.0, 40.0],
+        [5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0],
+    ])
+    def test_latency_percentiles_are_exact(self, samples):
+        from repro.obs.metrics import percentile_exact
+        from repro.serve.traffic import _report
+
+        results = [{"op": "read", "status": 200, "latency_ms": ms}
+                   for ms in samples]
+        results.append({"op": "read", "status": 503,
+                        "latency_ms": 999.0})
+        report = _report(results, 1.0, {}, {}, seed=0, clients=1,
+                         requests=len(results), mix=TrafficMix(),
+                         slos=[])
+        assert report["latency_ms"] == {
+            f"p{q}": round(percentile_exact(samples, q), 3)
+            for q in (50, 95, 99)}
+
+    def test_latency_percentiles_without_successes_are_zero(self):
+        from repro.serve.traffic import _report
+
+        results = [{"op": "read", "status": 503, "latency_ms": 5.0}]
+        report = _report(results, 1.0, {}, {}, seed=0, clients=1,
+                         requests=1, mix=TrafficMix(), slos=[])
+        assert report["latency_ms"] == {"p50": 0.0, "p95": 0.0,
+                                        "p99": 0.0}
+
     def test_cli_json_output(self, capsys):
         from repro.serve.traffic import main
 
