@@ -1,8 +1,9 @@
 """Graph aggregations (Table 9: "e.g., counting the number of triangles").
 
-Triangle counting (exact, via degree-ordered wedge checks), clustering
-coefficients, degree distributions, and assortativity -- the statistics
-participants compute over whole graphs.
+Triangles and clustering coefficients share one pass: build the neighbour
+sets once, orient each edge toward its higher-degree endpoint and intersect
+the forward sets, O(m^(3/2)). Degree distributions and assortativity are
+the other statistics participants compute over whole graphs.
 """
 
 from __future__ import annotations
@@ -23,78 +24,77 @@ def _undirected_neighbor_sets(graph) -> dict[Vertex, set[Vertex]]:
     return sets
 
 
+def _forward_sets(neighbors) -> dict[Vertex, set[Vertex]]:
+    """Each vertex's neighbours of higher (degree, position) rank."""
+    rank = {v: (len(adjacent), i)
+            for i, (v, adjacent) in enumerate(neighbors.items())}
+    return {v: {w for w in adjacent if rank[v] < rank[w]}
+            for v, adjacent in neighbors.items()}
+
+
+def _triangles_per_vertex(neighbors) -> dict[Vertex, int]:
+    """Credit each forward-set triangle to all three of its corners."""
+    forward = _forward_sets(neighbors)
+    counts = dict.fromkeys(neighbors, 0)
+    for v, out in forward.items():
+        for w in out:
+            for x in out & forward[w]:
+                counts[v] += 1
+                counts[w] += 1
+                counts[x] += 1
+    return counts
+
+
+def _coefficient(links: int, k: int) -> float:
+    return 2.0 * links / (k * (k - 1)) if k >= 2 else 0.0
+
+
 def triangle_count(graph) -> int:
     """Total number of triangles (each counted once).
 
-    Uses the degree-ordering technique: orient each edge from the
-    lower-ranked to the higher-ranked endpoint and count common forward
-    neighbors, giving O(m^(3/2)) worst case.
+    Intersects the degree-ordered forward sets, so each triangle is
+    counted at its lowest-ranked corner: O(m^(3/2)) worst case.
     """
-    neighbors = _undirected_neighbor_sets(graph)
-    rank = {
-        v: (len(neighbors[v]), i)
-        for i, v in enumerate(neighbors)
-    }
-    forward: dict[Vertex, set[Vertex]] = {v: set() for v in neighbors}
-    for v, adjacent in neighbors.items():
-        for w in adjacent:
-            if rank[v] < rank[w]:
-                forward[v].add(w)
-    triangles = 0
-    for v, out in forward.items():
-        for w in out:
-            triangles += len(out & forward[w])
-    return triangles
+    forward = _forward_sets(_undirected_neighbor_sets(graph))
+    return sum(len(out & forward[w])
+               for out in forward.values() for w in out)
 
 
 def triangles_per_vertex(graph) -> dict[Vertex, int]:
     """Number of triangles through each vertex."""
-    neighbors = _undirected_neighbor_sets(graph)
-    counts = {v: 0 for v in neighbors}
-    for v, adjacent in neighbors.items():
-        adjacent_list = list(adjacent)
-        for i, a in enumerate(adjacent_list):
-            for b in adjacent_list[i + 1:]:
-                if b in neighbors[a]:
-                    counts[v] += 1
-    return counts
+    return _triangles_per_vertex(_undirected_neighbor_sets(graph))
 
 
 def local_clustering_coefficient(graph, vertex: Vertex) -> float:
     """Fraction of a vertex's neighbor pairs that are themselves linked."""
     neighbors = _undirected_neighbor_sets(graph)
     adjacent = neighbors[vertex]
-    k = len(adjacent)
-    if k < 2:
-        return 0.0
-    links = 0
-    adjacent_list = list(adjacent)
-    for i, a in enumerate(adjacent_list):
-        for b in adjacent_list[i + 1:]:
-            if b in neighbors[a]:
-                links += 1
-    return 2.0 * links / (k * (k - 1))
+    links = sum(len(adjacent & neighbors[a]) for a in adjacent) // 2
+    return _coefficient(links, len(adjacent))
+
+
+def clustering_coefficients(graph) -> dict[Vertex, float]:
+    """Local clustering coefficient of every vertex, from one pass."""
+    neighbors = _undirected_neighbor_sets(graph)
+    triangles = _triangles_per_vertex(neighbors)
+    return {v: _coefficient(triangles[v], len(adjacent))
+            for v, adjacent in neighbors.items()}
 
 
 def average_clustering(graph) -> float:
     """Mean local clustering coefficient (0.0 for an empty graph)."""
-    vertices = list(graph.vertices())
-    if not vertices:
-        return 0.0
-    return sum(
-        local_clustering_coefficient(graph, v) for v in vertices
-    ) / len(vertices)
+    values = clustering_coefficients(graph).values()
+    return sum(values) / len(values) if values else 0.0
 
 
 def global_clustering(graph) -> float:
-    """Transitivity: 3 * triangles / wedges."""
+    """Transitivity: 3 * triangles / wedges, where 3 * triangles is the
+    sum of the per-vertex counts."""
     neighbors = _undirected_neighbor_sets(graph)
-    wedges = sum(
-        len(adjacent) * (len(adjacent) - 1) // 2
-        for adjacent in neighbors.values())
+    wedges = sum(len(a) * (len(a) - 1) // 2 for a in neighbors.values())
     if wedges == 0:
         return 0.0
-    return 3.0 * triangle_count(graph) / wedges
+    return sum(_triangles_per_vertex(neighbors).values()) / wedges
 
 
 def degree_histogram(graph) -> dict[int, int]:

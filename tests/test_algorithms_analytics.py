@@ -179,6 +179,26 @@ class TestAggregation:
             assert local_clustering_coefficient(g, vertex) == \
                 pytest.approx(nx.clustering(karate, vertex))
 
+    def test_clustering_builds_the_neighbour_sets_once(self, karate,
+                                                       monkeypatch):
+        from repro.algorithms import aggregation
+        from repro.ml import node_features
+
+        builds = []
+        build = aggregation._undirected_neighbor_sets
+
+        def counting_build(graph):
+            builds.append(graph)
+            return build(graph)
+
+        monkeypatch.setattr(aggregation, "_undirected_neighbor_sets",
+                            counting_build)
+        g = to_graph(karate)
+        average_clustering(g)
+        assert len(builds) == 1
+        node_features(g, ("clustering",))
+        assert len(builds) == 2
+
     def test_degree_histogram_and_stats(self):
         g = graph_from_edges([(1, 2), (2, 3)], directed=False)
         assert degree_histogram(g) == {1: 2, 2: 1}

@@ -6,16 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
+    average_clustering,
     connected_components,
     core_numbers,
     exact_diameter,
+    global_clustering,
     k_core,
     kruskal_mst,
+    local_clustering_coefficient,
     mst_weight,
     pagerank,
     prim_mst,
     shortest_path,
     triangle_count,
+    triangles_per_vertex,
 )
 from repro.graphs import Graph
 
@@ -100,6 +104,48 @@ def test_triangle_count_invariant_under_duplication(pairs):
     g = random_graph(pairs)
     doubled = random_graph(pairs + pairs)
     assert triangle_count(g) == triangle_count(doubled)
+
+
+def pair_loop_clustering(g):
+    """Reference: triangles and clustering by testing every neighbour pair."""
+    neighbors = {v: set() for v in g.vertices()}
+    for edge in g.edges():
+        if edge.u != edge.v:
+            neighbors[edge.u].add(edge.v)
+            neighbors[edge.v].add(edge.u)
+    links, local = {}, {}
+    for v, adjacent in neighbors.items():
+        ordered = list(adjacent)
+        links[v] = sum(1 for i, a in enumerate(ordered)
+                       for b in ordered[i + 1:] if b in neighbors[a])
+        k = len(adjacent)
+        local[v] = 2.0 * links[v] / (k * (k - 1)) if k >= 2 else 0.0
+    triangles = sum(links.values()) // 3
+    wedges = sum(len(a) * (len(a) - 1) // 2 for a in neighbors.values())
+    return {
+        "triangles": triangles,
+        "per_vertex": links,
+        "local": local,
+        "average": sum(local[v] for v in g.vertices()) / len(local),
+        "global": 3.0 * triangles / wedges if wedges else 0.0,
+    }
+
+
+@given(edge_lists, st.integers(0, 11), st.sets(st.integers(0, 11)),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_triangle_kernels_equal_the_pair_loop(pairs, hub, spokes, directed):
+    """Exact agreement, floats included, on multigraphs with self-loops,
+    parallel edges, isolated vertices and a hub."""
+    g = random_graph(pairs + [(hub, s) for s in sorted(spokes)],
+                     directed=directed)
+    expected = pair_loop_clustering(g)
+    assert triangle_count(g) == expected["triangles"]
+    assert triangles_per_vertex(g) == expected["per_vertex"]
+    assert {v: local_clustering_coefficient(g, v)
+            for v in g.vertices()} == expected["local"]
+    assert average_clustering(g) == expected["average"]
+    assert global_clustering(g) == expected["global"]
 
 
 @given(edge_lists)
