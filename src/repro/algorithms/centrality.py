@@ -2,15 +2,20 @@
 
 Degree, closeness, betweenness (Brandes' algorithm, exact and sampled),
 and harmonic centrality. Betweenness follows out-edges on directed graphs
-and treats undirected graphs symmetrically.
+and treats undirected graphs symmetrically. It runs Brandes
+level-synchronously over a CSR snapshot with parallel edges collapsed:
+each BFS level is a frontier array, and path counts and dependencies
+are accumulated with one ``np.bincount`` per level.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+
+import numpy as np
 
 from repro.graphs.adjacency import Vertex
+from repro.graphs.csr import CSRGraph
 
 
 def degree_centrality(graph) -> dict[Vertex, float]:
@@ -62,60 +67,72 @@ def betweenness_centrality(
     (the standard sampling approximation); scores are then scaled by
     ``n / len(sources)`` to stay comparable to the exact values.
     """
-    vertices = list(graph.vertices())
-    scores = {v: 0.0 for v in vertices}
+    # A parallel edge adds no second shortest path.
+    csr = CSRGraph.from_graph(graph).collapsed()
+    n = csr.num_vertices()
     if sources is None:
-        pivots = vertices
+        pivots = range(n)
         scale_up = 1.0
     else:
-        pivots = list(sources)
+        pivots = [csr.index(source) for source in sources]
         if not pivots:
             raise ValueError("sources must be non-empty")
-        scale_up = len(vertices) / len(pivots)
+        scale_up = n / len(pivots)
 
+    scores = np.zeros(n)
     for source in pivots:
-        _brandes_accumulate(graph, source, scores)
+        scores += _brandes_accumulate(csr.indptr, csr.indices, source)
 
-    n = len(vertices)
-    for vertex in scores:
-        scores[vertex] *= scale_up
+    scores *= scale_up
     if not graph.directed:
-        for vertex in scores:
-            scores[vertex] /= 2.0
+        scores /= 2.0
     if normalized and n > 2:
         denominator = (n - 1) * (n - 2)
         if not graph.directed:
             denominator /= 2.0
-        for vertex in scores:
-            scores[vertex] /= denominator
-    return scores
+        scores /= denominator
+    return dict(zip(csr.vertex_order, scores.tolist()))
 
 
-def _brandes_accumulate(graph, source: Vertex,
-                        scores: dict[Vertex, float]) -> None:
-    stack: list[Vertex] = []
-    predecessors: dict[Vertex, list[Vertex]] = {}
-    sigma: dict[Vertex, float] = {source: 1.0}
-    distance: dict[Vertex, int] = {source: 0}
-    queue = deque([source])
-    while queue:
-        vertex = queue.popleft()
-        stack.append(vertex)
-        for neighbor in graph.out_neighbors(vertex):
-            if neighbor not in distance:
-                distance[neighbor] = distance[vertex] + 1
-                queue.append(neighbor)
-            if distance[neighbor] == distance[vertex] + 1:
-                sigma[neighbor] = sigma.get(neighbor, 0.0) + sigma[vertex]
-                predecessors.setdefault(neighbor, []).append(vertex)
-    delta = {vertex: 0.0 for vertex in stack}
-    while stack:
-        vertex = stack.pop()
-        for predecessor in predecessors.get(vertex, ()):
-            delta[predecessor] += (
-                sigma[predecessor] / sigma[vertex]) * (1 + delta[vertex])
-        if vertex != source:
-            scores[vertex] += delta[vertex]
+def _brandes_accumulate(indptr: np.ndarray, indices: np.ndarray,
+                        source: int) -> np.ndarray:
+    """One source's dependency of every vertex, zero at the source. Both
+    passes re-expand each level's frontier instead of storing it."""
+    n = len(indptr) - 1
+    distance = np.full(n, -1, dtype=np.int64)
+    sigma = np.zeros(n)
+    distance[source], sigma[source] = 0, 1.0
+    levels = [np.array([source])]
+    while True:
+        depth = len(levels)
+        parents, children = _expand(indptr, indices, levels[-1])
+        unseen = distance[children] < 0
+        if not unseen.any():
+            break
+        parents, children = parents[unseen], children[unseen]
+        distance[children] = depth
+        sigma += np.bincount(children, weights=sigma[parents], minlength=n)
+        levels.append(np.flatnonzero(distance == depth))
+    delta = np.zeros(n)
+    for depth in range(len(levels) - 1, 0, -1):
+        parents, children = _expand(indptr, indices, levels[depth - 1])
+        on_path = distance[children] == depth
+        parents, children = parents[on_path], children[on_path]
+        delta += np.bincount(
+            parents, minlength=n,
+            weights=sigma[parents] / sigma[children] * (1 + delta[children]))
+    delta[source] = 0.0
+    return delta
+
+
+def _expand(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
+    """Every (row, target) entry of the frontier's rows, as two arrays."""
+    ends = indptr[frontier + 1]
+    counts = ends - indptr[frontier]
+    # Entry k of the expansion, in row j, sits at ends[j] - cumsum[j] + k.
+    positions = np.repeat(ends - np.cumsum(counts), counts)
+    positions += np.arange(len(positions))
+    return np.repeat(frontier, counts), indices[positions]
 
 
 def approximate_betweenness(

@@ -29,21 +29,10 @@ def adjacency_matrix(graph: Graph | CSRGraph,
     plus the vertex order the indices refer to. Parallel edges keep the
     minimum weight (matching ``Graph.edge_weight``)."""
     csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+    csr = csr.collapsed()
     n = csr.num_vertices()
     matrix = sp.csr_matrix(
         (csr.weights, csr.indices, csr.indptr), shape=(n, n))
-    # Collapse parallel entries to the minimum weight.
-    matrix = matrix.tocoo()
-    if len(matrix.data):
-        order = np.lexsort((matrix.data, matrix.col, matrix.row))
-        rows, cols, data = (matrix.row[order], matrix.col[order],
-                            matrix.data[order])
-        keep = np.ones(len(data), dtype=bool)
-        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        matrix = sp.csr_matrix(
-            (data[keep], (rows[keep], cols[keep])), shape=(n, n))
-    else:
-        matrix = matrix.tocsr()
     return matrix, list(csr.vertex_order)
 
 

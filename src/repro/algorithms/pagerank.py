@@ -1,8 +1,9 @@
 """PageRank and personalized PageRank (Table 9 "Ranking & Centrality").
 
 Power iteration over a CSR snapshot with dangling-mass redistribution.
-Weighted variants split a vertex's rank across out-edges proportionally
-to edge weight.
+Each iteration is one ``np.bincount`` over the snapshot's entries: every
+entry carries its row's rank share to its target. Weighted variants
+split a vertex's rank across out-edges proportionally to edge weight.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ def pagerank(
     """
     if not 0 <= damping < 1:
         raise ValueError("damping must be in [0, 1)")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
     n = csr.num_vertices()
     if n == 0:
@@ -46,21 +49,15 @@ def pagerank(
 
     teleport = _teleport_vector(csr, personalization)
     rank = np.full(n, 1.0 / n)
-    out_weight = _out_strength(csr, weighted)
+    rows = csr.entry_rows()
+    out_weight = (np.bincount(rows, weights=csr.weights, minlength=n)
+                  if weighted else np.diff(csr.indptr).astype(np.float64))
     dangling = out_weight == 0
 
     for _ in range(max_iter):
-        new_rank = np.zeros(n)
         scale = np.divide(rank, out_weight, out=np.zeros(n), where=~dangling)
-        for i in range(n):
-            if dangling[i]:
-                continue
-            row = slice(csr.indptr[i], csr.indptr[i + 1])
-            if weighted:
-                np.add.at(new_rank, csr.indices[row],
-                          scale[i] * csr.weights[row])
-            else:
-                np.add.at(new_rank, csr.indices[row], scale[i])
+        flow = scale[rows] * csr.weights if weighted else scale[rows]
+        new_rank = np.bincount(csr.indices, weights=flow, minlength=n)
         dangling_mass = rank[dangling].sum()
         new_rank = (damping * (new_rank + dangling_mass * teleport)
                     + (1 - damping) * teleport)
@@ -85,16 +82,6 @@ def _teleport_vector(csr: CSRGraph, personalization) -> np.ndarray:
     if total <= 0:
         raise ValueError("personalization must have positive total mass")
     return vector / total
-
-
-def _out_strength(csr: CSRGraph, weighted: bool) -> np.ndarray:
-    n = csr.num_vertices()
-    if not weighted:
-        return np.diff(csr.indptr).astype(np.float64)
-    strength = np.zeros(n)
-    for i in range(n):
-        strength[i] = csr.weights[csr.indptr[i]:csr.indptr[i + 1]].sum()
-    return strength
 
 
 def top_ranked(scores: Mapping[Vertex, float], k: int) -> list[Vertex]:

@@ -4,6 +4,8 @@ Iterative whole-graph computations (PageRank, spectral clustering, label
 propagation at scale) are much faster on flat arrays than on dict
 adjacency. :class:`CSRGraph` freezes a :class:`~repro.graphs.adjacency.
 Graph` into indptr/indices/weights arrays plus a vertex <-> index mapping.
+Snapshots are built with array operations: one pass over the edges into
+source/target/weight arrays, mirrored when undirected, then one sort.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from repro.graphs.adjacency import Graph, Vertex
 
 
 class CSRGraph:
-    """Immutable CSR adjacency over integer vertex indices."""
+    """Immutable CSR adjacency over integer vertex indices. The
+    classmethods sort every row by (target, weight), so parallel entries
+    are adjacent; :meth:`collapsed` relies on that order."""
 
     def __init__(
         self,
@@ -47,28 +51,14 @@ class CSRGraph:
         """Snapshot a graph. Undirected edges appear in both rows."""
         order = list(graph.vertices())
         index_of = {v: i for i, v in enumerate(order)}
-        n = len(order)
-        degrees = np.zeros(n + 1, dtype=np.int64)
-        rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for edge in graph.edges():
-            ui, vi = index_of[edge.u], index_of[edge.v]
-            rows[ui].append((vi, edge.weight))
-            if not graph.directed and ui != vi:
-                rows[vi].append((ui, edge.weight))
-        for i, row in enumerate(rows):
-            degrees[i + 1] = len(row)
-        indptr = np.cumsum(degrees)
-        nnz = int(indptr[-1])
-        indices = np.empty(nnz, dtype=np.int64)
-        weights = np.empty(nnz, dtype=np.float64)
-        for i, row in enumerate(rows):
-            row.sort()
-            start = indptr[i]
-            for offset, (j, w) in enumerate(row):
-                indices[start + offset] = j
-                weights[start + offset] = w
-        return cls(indptr=indptr, indices=indices, weights=weights,
-                   vertex_order=order, directed=graph.directed)
+        edges = list(graph.edges())
+        sources = np.array([index_of[e.u] for e in edges], dtype=np.int64)
+        targets = np.array([index_of[e.v] for e in edges], dtype=np.int64)
+        weights = np.array([e.weight for e in edges], dtype=np.float64)
+        if not graph.directed:
+            sources, targets, weights = _mirrored(sources, targets, weights)
+        return cls._from_arcs(sources, targets, weights, order,
+                              graph.directed)
 
     @classmethod
     def from_edge_array(
@@ -84,25 +74,30 @@ class CSRGraph:
         targets = np.asarray(targets, dtype=np.int64)
         if sources.shape != targets.shape:
             raise ValueError("sources and targets must have the same shape")
+        ends = np.concatenate([sources, targets])
+        if ends.size and (ends.min() < 0 or ends.max() >= num_vertices):
+            raise ValueError("vertex indices must be in [0, num_vertices)")
         if weights is None:
             weights = np.ones(len(sources), dtype=np.float64)
         else:
             weights = np.asarray(weights, dtype=np.float64)
         if not directed:
-            loop = sources == targets
-            sources, targets = (
-                np.concatenate([sources, targets[~loop]]),
-                np.concatenate([targets, sources[~loop]]),
-            )
-            weights = np.concatenate([weights, weights[~loop]])
-        order = np.argsort(sources, kind="stable")
-        sources, targets = sources[order], targets[order]
-        weights = weights[order]
-        counts = np.bincount(sources, minlength=num_vertices)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return cls(indptr=indptr.astype(np.int64), indices=targets,
-                   weights=weights, vertex_order=list(range(num_vertices)),
-                   directed=directed)
+            sources, targets, weights = _mirrored(sources, targets, weights)
+        return cls._from_arcs(sources, targets, weights, range(num_vertices),
+                              directed)
+
+    @classmethod
+    def _from_arcs(cls, sources, targets, weights, vertex_order,
+                   directed) -> "CSRGraph":
+        """CSR of the arcs, every row sorted by (target, weight). Indices
+        must lie in ``range(len(vertex_order))``."""
+        n = len(vertex_order)
+        # One int64 key per (row, target) cell sorts like the pair.
+        order = np.lexsort((weights, sources * n + targets))
+        counts = np.bincount(sources, minlength=n)
+        return cls(indptr=np.concatenate([[0], np.cumsum(counts)]),
+                   indices=targets[order], weights=weights[order],
+                   vertex_order=vertex_order, directed=directed)
 
     # -- access ----------------------------------------------------------
 
@@ -115,11 +110,7 @@ class CSRGraph:
         return nnz if self.directed else (nnz + self._num_loops()) // 2
 
     def _num_loops(self) -> int:
-        loops = 0
-        for i in range(self.num_vertices()):
-            row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            loops += int(np.count_nonzero(row == i))
-        return loops
+        return int(np.count_nonzero(self.indices == self.entry_rows()))
 
     def index(self, vertex: Vertex) -> int:
         try:
@@ -136,6 +127,11 @@ class CSRGraph:
     def weights_of_index(self, index: int) -> np.ndarray:
         return self.weights[self.indptr[index]:self.indptr[index + 1]]
 
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry, aligned with ``indices``."""
+        return np.repeat(np.arange(self.num_vertices(), dtype=np.int64),
+                         np.diff(self.indptr))
+
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -144,19 +140,30 @@ class CSRGraph:
 
     def transpose(self) -> "CSRGraph":
         """The reverse graph (same object semantics for undirected)."""
-        n = self.num_vertices()
-        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        order = np.argsort(self.indices, kind="stable")
-        new_sources = self.indices[order]
-        new_targets = sources[order]
-        new_weights = self.weights[order]
-        counts = np.bincount(new_sources, minlength=n)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return CSRGraph(indptr=indptr, indices=new_targets,
-                        weights=new_weights, vertex_order=self.vertex_order,
-                        directed=self.directed)
+        return CSRGraph._from_arcs(self.indices, self.entry_rows(),
+                                   self.weights, self.vertex_order,
+                                   self.directed)
+
+    def collapsed(self) -> "CSRGraph":
+        """One entry per (row, target) pair: the first of its parallel
+        entries, which carries their smallest weight."""
+        rows = self.entry_rows()
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = ((rows[1:] != rows[:-1])
+                     | (self.indices[1:] != self.indices[:-1]))
+        kept_before = np.concatenate([[0], np.cumsum(first)])
+        return CSRGraph(kept_before[self.indptr], self.indices[first],
+                        self.weights[first], self.vertex_order, self.directed)
 
     def labels_to_vertices(self, values: Iterable) -> dict[Vertex, object]:
         """Zip an index-aligned result array back onto vertex ids."""
         return {self.vertex_order[i]: value
                 for i, value in enumerate(values)}
+
+
+def _mirrored(sources, targets, weights):
+    """Add the reverse of every non-loop arc (undirected snapshots)."""
+    keep = sources != targets
+    return (np.concatenate([sources, targets[keep]]),
+            np.concatenate([targets, sources[keep]]),
+            np.concatenate([weights, weights[keep]]))

@@ -98,6 +98,11 @@ class TestPageRank:
         with pytest.raises(ValueError):
             pagerank(Graph(), damping=1.5)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_bad_max_iter(self, karate, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            pagerank(to_graph(karate), max_iter=max_iter)
+
     def test_convergence_error(self, karate):
         with pytest.raises(ConvergenceError):
             pagerank(to_graph(karate), max_iter=1, tol=0.0)

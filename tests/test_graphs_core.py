@@ -290,6 +290,12 @@ class TestCSR:
             np.array([0, 1, 2]), np.array([1, 2, 0]), num_vertices=3)
         assert csr.out_degrees().tolist() == [1, 1, 1]
 
+    @pytest.mark.parametrize("sources, targets", [([0], [3]), ([-1], [0])])
+    def test_from_edge_array_rejects_foreign_indices(self, sources, targets):
+        with pytest.raises(ValueError, match="num_vertices"):
+            CSRGraph.from_edge_array(np.array(sources), np.array(targets),
+                                     num_vertices=3)
+
     def test_from_edge_array_undirected(self):
         csr = CSRGraph.from_edge_array(
             np.array([0]), np.array([1]), num_vertices=2, directed=False)

@@ -485,32 +485,25 @@ class TestOverheadGuard:
 
         graph = build_scenario("social", seed=17)
 
-        def median_of(reps, traced):
-            timings = []
-            for _ in range(reps):
-                if traced:
-                    with obs.capture():
-                        start = _time.perf_counter_ns()
-                        run_computation(
-                            "Ranking & Centrality Scores", graph, 17)
-                        timings.append(
-                            (_time.perf_counter_ns() - start) / 1e6)
-                else:
+        def timed(traced):
+            if traced:
+                with obs.capture():
                     start = _time.perf_counter_ns()
-                    run_computation(
-                        "Ranking & Centrality Scores", graph, 17)
-                    timings.append(
-                        (_time.perf_counter_ns() - start) / 1e6)
-            return sorted(timings)[len(timings) // 2]
+                    run_computation("Ranking & Centrality Scores", graph, 17)
+                    return (_time.perf_counter_ns() - start) / 1e6
+            start = _time.perf_counter_ns()
+            run_computation("Ranking & Centrality Scores", graph, 17)
+            return (_time.perf_counter_ns() - start) / 1e6
 
         run_computation("Ranking & Centrality Scores", graph, 17)
         assert not prof.is_profiling()
         # Baseline: tracing off — the NULL_SPAN path never consults
         # the profiler hook. Current: tracing on, profiling disabled —
         # every real span pays the hook's None check. The two medians
-        # must sit within the bench harness's own noise guards.
-        base_ms = median_of(5, traced=False)
-        hook_ms = median_of(5, traced=True)
+        # must sit within the bench harness's own noise guards. The
+        # reps alternate, so machine drift lands on both sides alike.
+        pairs = [(timed(traced=False), timed(traced=True)) for _ in range(5)]
+        base_ms, hook_ms = (sorted(side)[2] for side in zip(*pairs))
         guard = max(bench.REL_THRESHOLD * base_ms,
                     bench.MIN_EFFECT_MS)
         assert hook_ms - base_ms <= guard, (

@@ -1,12 +1,18 @@
 """Cross-module property-based tests on core invariants."""
 
 import random
+from collections import deque
 
+import networkx as nx
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
+    approximate_betweenness,
     average_clustering,
+    betweenness_centrality,
     connected_components,
     core_numbers,
     exact_diameter,
@@ -21,7 +27,10 @@ from repro.algorithms import (
     triangle_count,
     triangles_per_vertex,
 )
-from repro.graphs import Graph
+from repro.algorithms import centrality
+from repro.algorithms.linalg import adjacency_matrix
+from repro.graphs import CSRGraph, Graph
+from repro.ml import girvan_newman
 
 
 def random_graph(pairs, directed=False, weights=None) -> Graph:
@@ -146,6 +155,198 @@ def test_triangle_kernels_equal_the_pair_loop(pairs, hub, spokes, directed):
             for v in g.vertices()} == expected["local"]
     assert average_clustering(g) == expected["average"]
     assert global_clustering(g) == expected["global"]
+
+
+@st.composite
+def ranking_graphs(draw):
+    """Multigraphs of at most 14 vertices in a drawn insertion order:
+    parallel edges (tied and distinct weights), self-loops, dangling and
+    isolated vertices, and a hub."""
+    directed = draw(st.booleans())
+    order = draw(st.permutations(range(draw(st.integers(1, 14)))))
+    vertex = st.sampled_from(order)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    hub = draw(vertex)
+    pairs += [(hub, spoke) for spoke in draw(st.lists(vertex, max_size=14))]
+    weight = st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                       st.floats(0.01, 100.0))
+    g = Graph(directed=directed, multigraph=True)
+    g.add_vertices(order)
+    for u, v in pairs:
+        g.add_edge(u, v, weight=draw(weight))
+    return g
+
+
+def reference_csr(graph):
+    """The per-edge fill loop ``CSRGraph.from_graph`` used to run."""
+    order = list(graph.vertices())
+    index_of = {v: i for i, v in enumerate(order)}
+    rows = [[] for _ in order]
+    for edge in graph.edges():
+        ui, vi = index_of[edge.u], index_of[edge.v]
+        rows[ui].append((vi, edge.weight))
+        if not graph.directed and ui != vi:
+            rows[vi].append((ui, edge.weight))
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    weights = np.empty(int(indptr[-1]), dtype=np.float64)
+    for i, row in enumerate(rows):
+        row.sort()
+        for offset, (j, w) in enumerate(row):
+            indices[indptr[i] + offset] = j
+            weights[indptr[i] + offset] = w
+    return indptr, indices, weights, order
+
+
+def reference_pagerank(graph, weighted=False, personalization=None,
+                       damping=0.85, tol=1e-10, max_iter=200):
+    """Power iteration with one ``np.add.at`` per row, as it used to run."""
+    indptr, indices, weights, order = reference_csr(graph)
+    n = len(order)
+    teleport = np.full(n, 1.0 / n)
+    if personalization is not None:
+        teleport = np.zeros(n)
+        for vertex, mass in personalization.items():
+            teleport[order.index(vertex)] = mass
+        teleport /= teleport.sum()
+    out_weight = np.diff(indptr).astype(np.float64)
+    if weighted:
+        out_weight = np.array(
+            [weights[indptr[i]:indptr[i + 1]].sum() for i in range(n)])
+    dangling = out_weight == 0
+    rank = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        new_rank = np.zeros(n)
+        scale = np.divide(rank, out_weight, out=np.zeros(n), where=~dangling)
+        for i in range(n):
+            if dangling[i]:
+                continue
+            row = slice(indptr[i], indptr[i + 1])
+            np.add.at(new_rank, indices[row],
+                      scale[i] * weights[row] if weighted else scale[i])
+        new_rank = (damping * (new_rank + rank[dangling].sum() * teleport)
+                    + (1 - damping) * teleport)
+        delta = np.abs(new_rank - rank).sum()
+        rank = new_rank
+        if delta < tol:
+            return dict(zip(order, rank))
+    raise AssertionError("reference pagerank did not converge")
+
+
+def reference_betweenness(graph, normalized=True, sources=None):
+    """Dict-based Brandes, one dict operation per visited edge, as
+    ``betweenness_centrality`` used to run."""
+    vertices = list(graph.vertices())
+    scores = {v: 0.0 for v in vertices}
+    pivots = vertices if sources is None else list(sources)
+    for source in pivots:
+        stack, predecessors = [], {}
+        sigma, distance = {source: 1.0}, {source: 0}
+        queue = deque([source])
+        while queue:
+            vertex = queue.popleft()
+            stack.append(vertex)
+            for neighbor in graph.out_neighbors(vertex):
+                if neighbor not in distance:
+                    distance[neighbor] = distance[vertex] + 1
+                    queue.append(neighbor)
+                if distance[neighbor] == distance[vertex] + 1:
+                    sigma[neighbor] = sigma.get(neighbor, 0.0) + sigma[vertex]
+                    predecessors.setdefault(neighbor, []).append(vertex)
+        delta = {vertex: 0.0 for vertex in stack}
+        while stack:
+            vertex = stack.pop()
+            for predecessor in predecessors.get(vertex, ()):
+                delta[predecessor] += (
+                    sigma[predecessor] / sigma[vertex]) * (1 + delta[vertex])
+            if vertex != source:
+                scores[vertex] += delta[vertex]
+    n = len(vertices)
+    for vertex in scores:
+        scores[vertex] *= n / len(pivots)
+        if not graph.directed:
+            scores[vertex] /= 2.0
+        if normalized and n > 2:
+            denominator = (n - 1) * (n - 2)
+            scores[vertex] /= denominator / (1 if graph.directed else 2.0)
+    return scores
+
+
+@given(ranking_graphs())
+@settings(max_examples=150, deadline=None)
+def test_csr_snapshot_equals_the_fill_loop(g):
+    csr = CSRGraph.from_graph(g)
+    indptr, indices, weights, order = reference_csr(g)
+    for got, want in ((csr.indptr, indptr), (csr.indices, indices),
+                      (csr.weights, weights)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert csr.vertex_order == order
+    assert csr.num_edges() == g.num_edges()
+    twice = csr.transpose().transpose()
+    assert np.array_equal(twice.indptr, indptr)
+    assert np.array_equal(twice.indices, indices)
+    assert np.array_equal(twice.weights, weights)
+    lightest = {}
+    for i in range(len(order)):
+        for j, w in zip(indices[indptr[i]:indptr[i + 1]],
+                        weights[indptr[i]:indptr[i + 1]]):
+            lightest[i, j] = min(w, lightest.get((i, j), w))
+    matrix, _ = adjacency_matrix(g)
+    assert matrix.nnz == len(lightest)
+    assert {(i, j): matrix[i, j] for i, j in lightest} == lightest
+
+
+@given(ranking_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pagerank_equals_the_per_row_loop(g, data):
+    vertices = list(g.vertices())
+    masses = data.draw(st.dictionaries(
+        st.sampled_from(vertices), st.floats(0.0, 5.0)))
+    masses[data.draw(st.sampled_from(vertices))] = 1.0
+    for kwargs in ({}, {"weighted": True}, {"personalization": masses}):
+        got = pagerank(g, **kwargs)
+        want = reference_pagerank(g, **kwargs)
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@given(ranking_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_betweenness_equals_dict_brandes(g, data):
+    vertices = list(g.vertices())
+    sources = data.draw(st.lists(st.sampled_from(vertices), min_size=1))
+    k, seed = data.draw(st.integers(1, 14)), data.draw(st.integers(0, 99))
+    sampled = (None if k >= len(vertices)
+               else random.Random(seed).sample(vertices, k))
+    for normalized in (True, False):
+        exact = (betweenness_centrality(g, normalized=normalized),
+                 reference_betweenness(g, normalized=normalized))
+        subset = (betweenness_centrality(g, normalized, sources=sources),
+                  reference_betweenness(g, normalized, sources=sources))
+        approx = (approximate_betweenness(g, k, seed, normalized),
+                  reference_betweenness(g, normalized, sources=sampled))
+        for got, want in (exact, subset, approx):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("nxg", [
+    nx.karate_club_graph(),
+    nx.planted_partition_graph(4, 8, 0.7, 0.08, seed=3),
+    nx.planted_partition_graph(3, 10, 0.6, 0.05, seed=11),
+], ids=["karate", "planted-4x8", "planted-3x10"])
+def test_girvan_newman_matches_dict_brandes(nxg, monkeypatch):
+    """Girvan-Newman removes the edge with the largest endpoint score sum,
+    so drift in the last bits of betweenness could pick another edge."""
+    g = Graph()
+    g.add_vertices(nxg.nodes())
+    for u, v in nxg.edges():
+        g.add_edge(u, v)
+    got = girvan_newman(g, target_communities=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(centrality, "betweenness_centrality",
+                      reference_betweenness)
+        want = girvan_newman(g, target_communities=4)
+    assert got == want
 
 
 @given(edge_lists)
