@@ -4,8 +4,8 @@ Degree, closeness, betweenness (Brandes' algorithm, exact and sampled),
 and harmonic centrality. Betweenness follows out-edges on directed graphs
 and treats undirected graphs symmetrically. It runs Brandes
 level-synchronously over a CSR snapshot with parallel edges collapsed:
-each BFS level is a frontier array, and path counts and dependencies
-are accumulated with one ``np.bincount`` per level.
+a batch of sources shares one frontier array per BFS level, and path
+counts and dependencies are scattered along the frontier's edges.
 """
 
 from __future__ import annotations
@@ -71,17 +71,19 @@ def betweenness_centrality(
     csr = CSRGraph.from_graph(graph).collapsed()
     n = csr.num_vertices()
     if sources is None:
-        pivots = range(n)
+        pivots = np.arange(n)
         scale_up = 1.0
     else:
-        pivots = [csr.index(source) for source in sources]
-        if not pivots:
+        pivots = np.array([csr.index(s) for s in sources], dtype=np.int64)
+        if not len(pivots):
             raise ValueError("sources must be non-empty")
         scale_up = n / len(pivots)
 
     scores = np.zeros(n)
-    for source in pivots:
-        scores += _brandes_accumulate(csr.indptr, csr.indices, source)
+    # Each level's arrays hold at most batch * max(n, nnz) entries.
+    batch = max(1, _BATCH_ENTRIES // max(n, len(csr.indices), 1))
+    for first in range(0, len(pivots), batch):
+        scores += _brandes_accumulate(csr, pivots[first:first + batch])
 
     scores *= scale_up
     if not graph.directed:
@@ -94,45 +96,55 @@ def betweenness_centrality(
     return dict(zip(csr.vertex_order, scores.tolist()))
 
 
-def _brandes_accumulate(indptr: np.ndarray, indices: np.ndarray,
-                        source: int) -> np.ndarray:
-    """One source's dependency of every vertex, zero at the source. Both
-    passes re-expand each level's frontier instead of storing it."""
-    n = len(indptr) - 1
-    distance = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n)
-    distance[source], sigma[source] = 0, 1.0
-    levels = [np.array([source])]
+#: Entry budget for one batch of Brandes sources (256 KiB per int64 array).
+_BATCH_ENTRIES = 1 << 15
+
+
+def _brandes_accumulate(csr: CSRGraph, sources: np.ndarray) -> np.ndarray:
+    """Every vertex's dependency summed over a batch of sources, less their
+    own. One BFS runs over one copy of the graph per source, vertex ``v``
+    of copy ``b`` at ``b * n + v``. Only frontiers are stored; the
+    backward pass re-expands them."""
+    n = csr.num_vertices()
+    roots = np.arange(len(sources)) * n + sources
+    distance = np.full(len(sources) * n, -1, dtype=np.int64)
+    sigma = np.zeros(len(sources) * n)
+    slot = np.empty(len(sources) * n, dtype=np.int64)
+    distance[roots], sigma[roots] = 0, 1.0
+    levels = [roots]
     while True:
-        depth = len(levels)
-        parents, children = _expand(indptr, indices, levels[-1])
+        parents, children = _expand(csr, levels[-1])
         unseen = distance[children] < 0
         if not unseen.any():
             break
         parents, children = parents[unseen], children[unseen]
-        distance[children] = depth
-        sigma += np.bincount(children, weights=sigma[parents], minlength=n)
-        levels.append(np.flatnonzero(distance == depth))
-    delta = np.zeros(n)
+        distance[children] = len(levels)
+        np.add.at(sigma, children, sigma[parents])
+        # One position per distinct child wins the scatter.
+        ranks = np.arange(len(children))
+        slot[children] = ranks
+        levels.append(children[slot[children] == ranks])
+    delta = np.zeros(len(sources) * n)
     for depth in range(len(levels) - 1, 0, -1):
-        parents, children = _expand(indptr, indices, levels[depth - 1])
+        parents, children = _expand(csr, levels[depth - 1])
         on_path = distance[children] == depth
         parents, children = parents[on_path], children[on_path]
-        delta += np.bincount(
-            parents, minlength=n,
-            weights=sigma[parents] / sigma[children] * (1 + delta[children]))
-    delta[source] = 0.0
-    return delta
+        np.add.at(delta, parents,
+                  sigma[parents] / sigma[children] * (1 + delta[children]))
+    delta[roots] = 0.0
+    return delta.reshape(len(sources), n).sum(axis=0)
 
 
-def _expand(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
-    """Every (row, target) entry of the frontier's rows, as two arrays."""
-    ends = indptr[frontier + 1]
-    counts = ends - indptr[frontier]
+def _expand(csr: CSRGraph, frontier: np.ndarray):
+    """Every (parent, child) pair along the frontier's rows."""
+    vertex = frontier % csr.num_vertices()
+    ends = csr.indptr[vertex + 1]
+    counts = ends - csr.indptr[vertex]
     # Entry k of the expansion, in row j, sits at ends[j] - cumsum[j] + k.
     positions = np.repeat(ends - np.cumsum(counts), counts)
     positions += np.arange(len(positions))
-    return np.repeat(frontier, counts), indices[positions]
+    return (np.repeat(frontier, counts),
+            np.repeat(frontier - vertex, counts) + csr.indices[positions])
 
 
 def approximate_betweenness(

@@ -38,26 +38,22 @@ def adjacency_matrix(graph: Graph | CSRGraph,
 
 @dataclass(frozen=True)
 class Semiring:
-    """A GraphBLAS-style semiring: (add, add-identity, multiply)."""
+    """A GraphBLAS-style semiring: (add, add-identity, multiply). ``add``
+    is a numpy ufunc, so products scatter with ``add.at``."""
 
     name: str
-    add: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    add: np.ufunc
     zero: float
     multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def vxm(self, vector: np.ndarray, matrix: sp.csr_matrix) -> np.ndarray:
         """vector-times-matrix over this semiring (dense vector)."""
         n = matrix.shape[0]
+        x = vector[np.repeat(np.arange(n), np.diff(matrix.indptr))]
+        live = x != self.zero
         result = np.full(n, self.zero, dtype=np.float64)
-        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-        for i in range(n):
-            x = vector[i]
-            if x == self.zero:
-                continue
-            row = slice(indptr[i], indptr[i + 1])
-            contributions = self.multiply(x, data[row])
-            cols = indices[row]
-            result[cols] = self.add(result[cols], contributions)
+        self.add.at(result, matrix.indices[live],
+                    self.multiply(x[live], matrix.data[live]))
         return result
 
 

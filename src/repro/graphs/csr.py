@@ -19,9 +19,9 @@ from repro.graphs.adjacency import Graph, Vertex
 
 
 class CSRGraph:
-    """Immutable CSR adjacency over integer vertex indices. The
-    classmethods sort every row by (target, weight), so parallel entries
-    are adjacent; :meth:`collapsed` relies on that order."""
+    """Immutable CSR adjacency over integer vertex indices. Every row must
+    be sorted by (target, weight), as the classmethods build it, so that
+    parallel entries are adjacent for :meth:`collapsed`."""
 
     def __init__(
         self,
@@ -74,8 +74,8 @@ class CSRGraph:
         targets = np.asarray(targets, dtype=np.int64)
         if sources.shape != targets.shape:
             raise ValueError("sources and targets must have the same shape")
-        ends = np.concatenate([sources, targets])
-        if ends.size and (ends.min() < 0 or ends.max() >= num_vertices):
+        if sources.size and (min(sources.min(), targets.min()) < 0 or
+                             max(sources.max(), targets.max()) >= num_vertices):
             raise ValueError("vertex indices must be in [0, num_vertices)")
         if weights is None:
             weights = np.ones(len(sources), dtype=np.float64)
@@ -147,10 +147,8 @@ class CSRGraph:
     def collapsed(self) -> "CSRGraph":
         """One entry per (row, target) pair: the first of its parallel
         entries, which carries their smallest weight."""
-        rows = self.entry_rows()
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = ((rows[1:] != rows[:-1])
-                     | (self.indices[1:] != self.indices[:-1]))
+        cells = self.entry_rows() * self.num_vertices() + self.indices
+        first = np.diff(cells, prepend=-1) != 0
         kept_before = np.concatenate([[0], np.cumsum(first)])
         return CSRGraph(kept_before[self.indptr], self.indices[first],
                         self.weights[first], self.vertex_order, self.directed)

@@ -54,25 +54,21 @@ def label_spreading(
         scores[i, class_index[label]] = 1.0
         clamp[i] = True
 
+    rows, degrees = csr.entry_rows(), csr.out_degrees()[:, None]
     for _ in range(max_iter):
+        # Each row's neighbour mean, summed in row order like ``mean``.
         new_scores = np.zeros_like(scores)
-        for i in range(n):
-            row = slice(csr.indptr[i], csr.indptr[i + 1])
-            neighbors = csr.indices[row]
-            if len(neighbors):
-                new_scores[i] = scores[neighbors].mean(axis=0)
+        np.add.at(new_scores, rows, scores[csr.indices])
+        np.divide(new_scores, degrees, out=new_scores, where=degrees > 0)
         new_scores[clamp] = scores[clamp]
         delta = np.abs(new_scores - scores).max()
         scores = new_scores
         if delta < tol:
             break
 
-    result: dict[Vertex, Label] = {}
-    for i in range(n):
-        if scores[i].sum() <= 0:
-            continue
-        result[csr.vertex(i)] = classes[int(scores[i].argmax())]
-    return result
+    winners = scores.argmax(axis=1)
+    return {csr.vertex(i): classes[winners[i]]
+            for i in np.flatnonzero(scores.sum(axis=1) > 0)}
 
 
 class FeatureClassifier:

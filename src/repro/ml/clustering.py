@@ -98,9 +98,7 @@ def spectral_clustering(
         return {}
     k = min(k, n)
     adjacency = np.zeros((n, n))
-    for i in range(n):
-        row = slice(csr.indptr[i], csr.indptr[i + 1])
-        adjacency[i, csr.indices[row]] = csr.weights[row]
+    adjacency[csr.entry_rows(), csr.indices] = csr.weights
     adjacency = np.maximum(adjacency, adjacency.T)
     degrees = adjacency.sum(axis=1)
     with np.errstate(divide="ignore"):

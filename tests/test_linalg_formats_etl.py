@@ -98,6 +98,15 @@ class TestLinalg:
         index = {v: i for i, v in enumerate(order)}
         assert matrix[index[0], index[1]] == 2.0
 
+    def test_adjacency_of_edge_array_parallel_entries_use_min(self):
+        from repro.graphs.csr import CSRGraph
+
+        csr = CSRGraph.from_edge_array([0, 0], [1, 1], num_vertices=2,
+                                       weights=[2.0, 1.0])
+        matrix, _ = linalg.adjacency_matrix(csr)
+        assert matrix.nnz == 1
+        assert matrix[0, 1] == 1.0
+
 
 class TestFormats:
     @pytest.fixture()

@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from unittest.mock import patch
 
 import networkx as nx
 import numpy as np
@@ -27,10 +28,10 @@ from repro.algorithms import (
     triangle_count,
     triangles_per_vertex,
 )
-from repro.algorithms import centrality
+from repro.algorithms import centrality, linalg
 from repro.algorithms.linalg import adjacency_matrix
 from repro.graphs import CSRGraph, Graph
-from repro.ml import girvan_newman
+from repro.ml import girvan_newman, label_spreading
 
 
 def random_graph(pairs, directed=False, weights=None) -> Graph:
@@ -272,6 +273,43 @@ def reference_betweenness(graph, normalized=True, sources=None):
     return scores
 
 
+def reference_label_spreading(graph, seeds, max_iter=100, tol=1e-6):
+    """Per-row neighbour means, as ``label_spreading`` used to run."""
+    indptr, indices, _, order = reference_csr(
+        graph.to_undirected() if graph.directed else graph)
+    classes = sorted(set(seeds.values()), key=repr)
+    scores = np.zeros((len(order), len(classes)))
+    for vertex, label in seeds.items():
+        scores[order.index(vertex), classes.index(label)] = 1.0
+    clamp = scores.sum(axis=1) > 0
+    for _ in range(max_iter):
+        new_scores = np.zeros_like(scores)
+        for i in range(len(order)):
+            neighbors = indices[indptr[i]:indptr[i + 1]]
+            if len(neighbors):
+                new_scores[i] = scores[neighbors].mean(axis=0)
+        new_scores[clamp] = scores[clamp]
+        delta = np.abs(new_scores - scores).max()
+        scores = new_scores
+        if delta < tol:
+            break
+    return {order[i]: classes[int(row.argmax())]
+            for i, row in enumerate(scores) if row.sum() > 0}
+
+
+def reference_vxm(semiring, vector, matrix):
+    """Semiring vector-matrix product one row at a time, as it used to
+    run."""
+    result = np.full(matrix.shape[0], semiring.zero)
+    for i, x in enumerate(vector):
+        if x != semiring.zero:
+            row = slice(matrix.indptr[i], matrix.indptr[i + 1])
+            cols = matrix.indices[row]
+            result[cols] = semiring.add(
+                result[cols], semiring.multiply(x, matrix.data[row]))
+    return result
+
+
 @given(ranking_graphs())
 @settings(max_examples=150, deadline=None)
 def test_csr_snapshot_equals_the_fill_loop(g):
@@ -318,15 +356,34 @@ def test_betweenness_equals_dict_brandes(g, data):
     k, seed = data.draw(st.integers(1, 14)), data.draw(st.integers(0, 99))
     sampled = (None if k >= len(vertices)
                else random.Random(seed).sample(vertices, k))
+    # Small entry budgets split the sources over several batches.
+    budget = data.draw(st.sampled_from([1, 40, 200, 1 << 15]))
     for normalized in (True, False):
-        exact = (betweenness_centrality(g, normalized=normalized),
-                 reference_betweenness(g, normalized=normalized))
-        subset = (betweenness_centrality(g, normalized, sources=sources),
-                  reference_betweenness(g, normalized, sources=sources))
-        approx = (approximate_betweenness(g, k, seed, normalized),
-                  reference_betweenness(g, normalized, sources=sampled))
-        for got, want in (exact, subset, approx):
+        with patch.object(centrality, "_BATCH_ENTRIES", budget):
+            exact = betweenness_centrality(g, normalized=normalized)
+            subset = betweenness_centrality(g, normalized, sources=sources)
+            approx = approximate_betweenness(g, k, seed, normalized)
+        for got, want in (
+                (exact, reference_betweenness(g, normalized=normalized)),
+                (subset, reference_betweenness(g, normalized, sources)),
+                (approx, reference_betweenness(g, normalized, sampled))):
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@given(ranking_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_label_spreading_and_vxm_equal_the_per_row_loops(g, data):
+    vertices = list(g.vertices())
+    seeds = data.draw(st.dictionaries(
+        st.sampled_from(vertices), st.sampled_from("abc"), min_size=1))
+    assert label_spreading(g, seeds) == reference_label_spreading(g, seeds)
+    matrix, _ = adjacency_matrix(g)
+    vector = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 3.0, np.inf]),
+        min_size=len(vertices), max_size=len(vertices))))
+    for semiring in (linalg.PLUS_TIMES, linalg.MIN_PLUS, linalg.OR_AND):
+        assert np.array_equal(semiring.vxm(vector, matrix),
+                              reference_vxm(semiring, vector, matrix))
 
 
 @pytest.mark.parametrize("nxg", [
