@@ -24,8 +24,6 @@ from repro.dgps.pregel import (
     VertexContext,
     max_aggregator,
     min_aggregator,
-    require_known_vertex,
-    run_local_superstep,
     run_pregel,
     sum_aggregator,
 )

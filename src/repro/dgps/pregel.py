@@ -18,6 +18,16 @@ This module implements that model faithfully on one machine:
   consumed by :mod:`repro.dgps.debugger`; the legacy trace hook is a
   thin adapter over those span events.
 
+The vertex-program host is written once, as :class:`VertexHost`: one
+shard's vertices in graph order, their values, halted set, inbox and
+out-edge lists, the only ``_enqueue`` (combine-on-insert) and
+``_aggregate``, the active scan and the compute loop.
+:class:`PregelEngine` is a one-shard host (every vertex on shard 0)
+with the superstep loop, span listeners and metrics around it;
+:class:`repro.dist.worker.Worker` is the same host for one shard of
+many. Both start from :func:`initial_state`, so a vertex program cannot
+tell which runtime it is on.
+
 The classic algorithms expressed on top of it live in
 :mod:`repro.dgps.algorithms`.
 """
@@ -25,7 +35,7 @@ The classic algorithms expressed on top of it live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.graphs.adjacency import Graph, Vertex
@@ -51,7 +61,7 @@ class VertexContext:
     value: Any
     superstep: int
     messages: list[Any]
-    _engine: "PregelEngine"
+    _engine: "VertexHost"
     _halted: bool = False
     _out_edges: list[tuple[Vertex, float]] = field(default_factory=list)
 
@@ -95,61 +105,6 @@ Combiner = Callable[[Any, Any], Any]
 Aggregator = tuple[Callable[[Any, Any], Any], Any]
 
 
-def require_known_vertex(known, target: Vertex) -> None:
-    """Reject a message aimed at a vertex that is not in the graph.
-
-    ``known`` is any container supporting ``in`` over the graph's
-    vertices (the engine's value map, a shard assignment, ...). Shared
-    by :meth:`PregelEngine._enqueue` and :mod:`repro.dist` message
-    routing so both fail at the *send* site with the same clear error
-    instead of corrupting a later superstep.
-    """
-    if target not in known:
-        raise PregelError(
-            f"message sent to unknown vertex {target!r}: "
-            f"message targets must be vertices of the graph")
-
-
-def run_local_superstep(
-    host,
-    program: VertexProgram,
-    superstep: int,
-    active: Iterable[Vertex],
-    values: dict[Vertex, Any],
-    inbox: dict[Vertex, list[Any]],
-    out_edges: dict[Vertex, list[tuple[Vertex, float]]],
-    halted: set[Vertex],
-) -> None:
-    """Superstep-local compute, shared by every BSP executor.
-
-    Runs ``program`` over ``active`` vertices, mutating ``values`` and
-    ``halted`` in place. ``host`` receives the sends/aggregations: it
-    must provide ``_enqueue``, ``_aggregate``, ``_previous_aggregates``
-    and ``num_vertices`` — the surface :class:`VertexContext` uses.
-    :class:`PregelEngine` passes itself (whole graph); a
-    :class:`repro.dist.worker.Worker` passes itself (one shard), which
-    is what keeps distributed supersteps bit-for-bit the same compute
-    as the single-machine engine.
-    """
-    for vertex in active:
-        halted.discard(vertex)
-        context = VertexContext(
-            vertex=vertex,
-            value=values[vertex],
-            superstep=superstep,
-            messages=inbox.get(vertex, []),
-            _engine=host,
-            _out_edges=out_edges[vertex],
-        )
-        new_value = program(context)
-        if new_value is not None:
-            values[vertex] = new_value
-        else:
-            values[vertex] = context.value
-        if context._halted:
-            halted.add(vertex)
-
-
 @dataclass(frozen=True)
 class SuperstepStats:
     """Observability record for one superstep."""
@@ -172,53 +127,85 @@ class PregelResult:
         return sum(s.messages_sent for s in self.stats)
 
 
-class PregelEngine:
-    """Single-machine BSP executor for vertex programs."""
+def initial_state(
+    graph: Graph,
+    initial_value: Callable[[Vertex], Any] | Any,
+) -> tuple[dict[Vertex, Any], dict[Vertex, list[tuple[Vertex, float]]]]:
+    """Initial vertex values and ``(neighbor, weight)`` out-edge lists,
+    both in graph order: the one builder every runtime starts from.
+    An undirected edge is listed at both ends, a self-loop once."""
+    if callable(initial_value):
+        values = {v: initial_value(v) for v in graph.vertices()}
+    else:
+        values = dict.fromkeys(graph.vertices(), initial_value)
+    out_edges: dict[Vertex, list[tuple[Vertex, float]]] = {
+        v: [] for v in values}
+    for edge in graph.edges():
+        out_edges[edge.u].append((edge.v, edge.weight))
+        if not graph.directed and edge.u != edge.v:
+            out_edges[edge.v].append((edge.u, edge.weight))
+    return values, out_edges
+
+
+class VertexHost:
+    """Runs a vertex program over the vertices of one shard.
+
+    ``assignment`` maps every vertex of the graph to its shard. A send
+    to shard ``index`` lands in this host's next-superstep box, any
+    other in that shard's remote box; either way the combiner folds
+    messages for one target as they are inserted.
+    """
 
     def __init__(
         self,
-        graph: Graph,
+        index: int,
+        vertices: tuple[Vertex, ...],
+        assignment: dict[Vertex, int],
         program: VertexProgram,
-        initial_value: Callable[[Vertex], Any] | Any = None,
-        combiner: Combiner | None = None,
-        aggregators: dict[str, Aggregator] | None = None,
-        max_supersteps: int = 100,
+        values: dict[Vertex, Any],
+        out_edges: dict[Vertex, list[tuple[Vertex, float]]],
+        combiner: Combiner | None,
+        aggregators: dict[str, Aggregator],
+        num_vertices: int,
     ):
-        self._graph = graph
+        self.index = index
+        self.vertices = vertices
+        self._assignment = assignment
         self._program = program
         self._combiner = combiner
-        self._aggregators = dict(aggregators or {})
-        self._max_supersteps = max_supersteps
-        self.num_vertices = graph.num_vertices()
+        self._aggregators = aggregators
+        #: global vertex count — VertexContext.num_vertices reads this,
+        #: so programs see the whole graph's size, not the shard's.
+        self.num_vertices = num_vertices
 
-        self._values: dict[Vertex, Any] = {}
-        for vertex in graph.vertices():
-            if callable(initial_value):
-                self._values[vertex] = initial_value(vertex)
-            else:
-                self._values[vertex] = initial_value
-        self._out_edges: dict[Vertex, list[tuple[Vertex, float]]] = {
-            v: [] for v in graph.vertices()}
-        for edge in graph.edges():
-            self._out_edges[edge.u].append((edge.v, edge.weight))
-            if not graph.directed and edge.u != edge.v:
-                self._out_edges[edge.v].append((edge.u, edge.weight))
-
-        self._inbox: dict[Vertex, list[Any]] = {}
-        self._next_inbox: dict[Vertex, list[Any]] = {}
-        self._halted: set[Vertex] = set()
-        self._messages_this_step = 0
-        self._current_aggregates: dict[str, Any] = {}
+        self.values = values
+        self.halted: set[Vertex] = set()
+        self._out_edges = out_edges
+        # Between supersteps the next-superstep box *is* the inbox.
+        self.inbox: dict[Vertex, list[Any]] = {}
+        self._next_local = self.inbox
+        self._remote: dict[int, dict[Vertex, list[Any]]] = {}
         self._previous_aggregates: dict[str, Any] = {}
-        self._span_listeners: list[Callable[[Span], None]] = []
-        self._capture_values = False
+        self._current_aggregates: dict[str, Any] = {}
+        self._sent = 0
+        self._remote_raw = 0
 
-    # -- engine internals (called by VertexContext) ---------------------
+    # -- host surface used by VertexContext -----------------------------
 
     def _enqueue(self, target: Vertex, message: Any) -> None:
-        require_known_vertex(self._values, target)
-        self._messages_this_step += 1
-        box = self._next_inbox
+        try:
+            dest = self._assignment[target]
+        except KeyError:
+            raise PregelError(
+                f"message sent to unknown vertex {target!r}: "
+                f"message targets must be vertices of the graph"
+            ) from None
+        self._sent += 1
+        if dest == self.index:
+            box = self._next_local
+        else:
+            self._remote_raw += 1
+            box = self._remote.setdefault(dest, {})
         if self._combiner is not None and target in box:
             box[target] = [self._combiner(box[target][0], message)]
         else:
@@ -231,6 +218,73 @@ class PregelEngine:
             raise PregelError(f"unknown aggregator {name!r}") from None
         current = self._current_aggregates.get(name, identity)
         self._current_aggregates[name] = reduce_fn(current, value)
+
+    # -- superstep lifecycle ---------------------------------------------
+
+    def active_vertices(self) -> list[Vertex]:
+        """Vertices that will compute next superstep (host order)."""
+        return [v for v in self.vertices
+                if v not in self.halted or v in self.inbox]
+
+    def has_active(self) -> bool:
+        return any(v not in self.halted or v in self.inbox
+                   for v in self.vertices)
+
+    def _compute(self, superstep: int, active: list[Vertex]) -> None:
+        """Run the program over ``active``, mutating values and the
+        halted set in place. Afterwards ``_sent``, ``_remote_raw``,
+        ``_remote`` and ``_current_aggregates`` hold this superstep's
+        sends and aggregator partials, and local sends are the inbox."""
+        self._current_aggregates = {}
+        self._next_local = {}
+        self._remote = {}
+        self._sent = 0
+        self._remote_raw = 0
+        program, values, inbox, halted, out_edges = (
+            self._program, self.values, self.inbox, self.halted,
+            self._out_edges)
+        for vertex in active:
+            halted.discard(vertex)
+            context = VertexContext(
+                vertex=vertex,
+                value=values[vertex],
+                superstep=superstep,
+                messages=inbox.get(vertex, []),
+                _engine=self,
+                _out_edges=out_edges[vertex],
+            )
+            new_value = program(context)
+            if new_value is not None:
+                values[vertex] = new_value
+            else:
+                values[vertex] = context.value
+            if context._halted:
+                halted.add(vertex)
+        self.inbox = self._next_local
+
+
+class PregelEngine(VertexHost):
+    """Single-machine BSP executor for vertex programs: a one-shard
+    :class:`VertexHost` with the superstep loop around it."""
+
+    def __init__(
+        self,
+        graph: Graph,
+        program: VertexProgram,
+        initial_value: Callable[[Vertex], Any] | Any = None,
+        combiner: Combiner | None = None,
+        aggregators: dict[str, Aggregator] | None = None,
+        max_supersteps: int = 100,
+    ):
+        values, out_edges = initial_state(graph, initial_value)
+        vertices = tuple(values)
+        super().__init__(
+            0, vertices, dict.fromkeys(vertices, 0), program, values,
+            out_edges, combiner, dict(aggregators or {}),
+            graph.num_vertices())
+        self._max_supersteps = max_supersteps
+        self._span_listeners: list[Callable[[Span], None]] = []
+        self._capture_values = False
 
     # -- public API ------------------------------------------------------
 
@@ -287,18 +341,19 @@ class PregelEngine:
         metrics = get_registry() if is_enabled() else None
         deadline = current_deadline()
         superstep = 0
-        while superstep < self._max_supersteps:
+        while True:
             # Superstep boundaries are the engine's cooperative yield
             # points: an expired request budget surfaces here rather
             # than interrupting a compute() mid-vertex.
             if deadline is not None:
                 deadline.check(f"pregel.superstep:{superstep}")
-            active = [
-                v for v in self._values
-                if v not in self._halted or v in self._inbox
-            ]
+            active = self.active_vertices()
             if not active:
                 break
+            if superstep >= self._max_supersteps:
+                raise PregelError(
+                    f"computation did not finish within "
+                    f"{self._max_supersteps} supersteps")
             # Listeners (debugger, legacy trace hooks) need real span
             # objects even when global tracing is off; the plain gated
             # constructor keeps the no-listener path allocation-free.
@@ -308,42 +363,30 @@ class PregelEngine:
             else:
                 step_span = span("pregel.superstep", superstep=superstep)
             with step_span:
-                self._messages_this_step = 0
-                self._current_aggregates = {
-                    name: identity
+                self._compute(superstep, active)
+                aggregates = {
+                    name: self._current_aggregates.get(name, identity)
                     for name, (_, identity) in self._aggregators.items()}
-                run_local_superstep(
-                    self, self._program, superstep, active,
-                    self._values, self._inbox, self._out_edges,
-                    self._halted)
                 stats.append(SuperstepStats(
                     superstep=superstep,
                     active_vertices=len(active),
-                    messages_sent=self._messages_this_step,
-                    aggregates=dict(self._current_aggregates)))
+                    messages_sent=self._sent,
+                    aggregates=aggregates))
                 step_span.set("active_vertices", len(active))
-                step_span.set("messages_sent", self._messages_this_step)
-                step_span.set("aggregates",
-                              dict(self._current_aggregates))
+                step_span.set("messages_sent", self._sent)
+                step_span.set("aggregates", dict(aggregates))
                 if self._capture_values:
-                    step_span.set("values", dict(self._values))
+                    step_span.set("values", dict(self.values))
             for listener in self._span_listeners:
                 listener(step_span)  # closed span, timing complete
             if metrics is not None:
                 metrics.inc("pregel.supersteps")
-                metrics.inc("pregel.messages_sent",
-                            self._messages_this_step)
+                metrics.inc("pregel.messages_sent", self._sent)
                 metrics.observe("pregel.superstep_ms",
                                 step_span.duration_ms)
-            self._previous_aggregates = dict(self._current_aggregates)
-            self._inbox = self._next_inbox
-            self._next_inbox = {}
+            self._previous_aggregates = dict(aggregates)
             superstep += 1
-        else:
-            raise PregelError(
-                f"computation did not finish within "
-                f"{self._max_supersteps} supersteps")
-        return PregelResult(values=dict(self._values),
+        return PregelResult(values=dict(self.values),
                             supersteps=superstep, stats=stats)
 
 

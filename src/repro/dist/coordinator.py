@@ -41,6 +41,7 @@ from repro.dgps.pregel import (
     PregelError,
     PregelSpec,
     VertexProgram,
+    initial_state,
 )
 from repro.dist.checkpoint import (
     Checkpoint,
@@ -159,20 +160,8 @@ class Coordinator:
             self._partitioner_name = chooser.name
         self.k = self._shard_map.k
 
-        self._vertex_order = tuple(graph.vertices())
-        values: dict[Vertex, Any] = {}
-        for vertex in self._vertex_order:
-            if callable(initial_value):
-                values[vertex] = initial_value(vertex)
-            else:
-                values[vertex] = initial_value
-        out_edges: dict[Vertex, list[tuple[Vertex, float]]] = {
-            v: [] for v in self._vertex_order}
-        for edge in graph.edges():
-            out_edges[edge.u].append((edge.v, edge.weight))
-            if not graph.directed and edge.u != edge.v:
-                out_edges[edge.v].append((edge.u, edge.weight))
-
+        values, out_edges = initial_state(graph, initial_value)
+        self._vertex_order = tuple(values)
         num_vertices = graph.num_vertices()
         self.workers: list[Worker] = [
             Worker(

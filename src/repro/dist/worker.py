@@ -1,18 +1,19 @@
 """One shard's executor in the distributed runtime.
 
-A :class:`Worker` owns its shard's vertices: their values, halted
-flags, out-adjacency, and the inbox of messages due this superstep.
-Each superstep it runs the *same* superstep-local compute as the
-single-machine engine (:func:`repro.dgps.pregel.run_local_superstep` —
-the worker is the ``host`` that receives sends and aggregations), so a
-vertex program cannot tell which runtime it is on.
+A :class:`Worker` is the single-machine engine's vertex-program host,
+:class:`repro.dgps.pregel.VertexHost`, for one shard of many: the same
+values, halted set, inbox, out-edges, ``_enqueue``, ``_aggregate``,
+active scan and compute loop, so a vertex program cannot tell which
+runtime it is on.
 
 What differs is where messages go. A send to a local vertex lands in
 the worker's own next-superstep inbox; a send to a remote vertex is
 buffered per destination shard, with the combiner applied *at the
 sender* — folding n messages for one remote target into one before
 routing, which is the classic trick for cutting cross-shard traffic
-(the ``messages_combined`` count is exactly the traffic saved).
+(the ``messages_combined`` count is exactly the traffic saved). The
+worker adds those routing counts, barrier delivery into its inbox,
+checkpoint state and the ``dist.worker.superstep`` span.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.dgps.pregel import (
-    Aggregator,
-    Combiner,
-    PregelError,
-    VertexProgram,
-    require_known_vertex,
-    run_local_superstep,
-)
+from repro.dgps.pregel import VertexHost
 from repro.graphs.adjacency import Vertex
 from repro.obs import check_deadline, span
 
@@ -49,78 +43,15 @@ class WorkerStepResult:
     aggregates: dict[str, Any] = field(default_factory=dict)
 
 
-class Worker:
+class Worker(VertexHost):
     """Executor for one shard of the graph."""
 
-    def __init__(
-        self,
-        index: int,
-        vertices: tuple[Vertex, ...],
-        assignment,
-        program: VertexProgram,
-        values: dict[Vertex, Any],
-        out_edges: dict[Vertex, list[tuple[Vertex, float]]],
-        combiner: Combiner | None,
-        aggregators: dict[str, Aggregator],
-        num_vertices: int,
-    ):
-        self.index = index
+    def __init__(self, index: int, *args: Any, **kwargs: Any):
+        super().__init__(index, *args, **kwargs)
+        # A plain attribute: a property would build the string inside
+        # every superstep span, a cached_property would write __dict__
+        # and slow every attribute read on the send path.
         self.name = f"w{index}"
-        self.vertices = vertices
-        self._assignment = assignment
-        self._program = program
-        self._combiner = combiner
-        self._aggregators = aggregators
-        #: global vertex count — VertexContext.num_vertices reads this,
-        #: so programs see the whole graph's size, not the shard's.
-        self.num_vertices = num_vertices
-
-        self.values: dict[Vertex, Any] = values
-        self.halted: set[Vertex] = set()
-        self.inbox: dict[Vertex, list[Any]] = {}
-        self._out_edges = out_edges
-
-        self._previous_aggregates: dict[str, Any] = {}
-        self._current_aggregates: dict[str, Any] = {}
-        self._next_local: dict[Vertex, list[Any]] = {}
-        self._remote: dict[int, dict[Vertex, list[Any]]] = {}
-        self._sent = 0
-        self._remote_raw = 0
-
-    # -- host surface used by VertexContext -----------------------------
-
-    def _enqueue(self, target: Vertex, message: Any) -> None:
-        require_known_vertex(self._assignment, target)
-        self._sent += 1
-        dest = self._assignment[target]
-        if dest == self.index:
-            box = self._next_local
-        else:
-            self._remote_raw += 1
-            box = self._remote.setdefault(dest, {})
-        if self._combiner is not None and target in box:
-            box[target] = [self._combiner(box[target][0], message)]
-        else:
-            box.setdefault(target, []).append(message)
-
-    def _aggregate(self, name: str, value: Any) -> None:
-        try:
-            reduce_fn, identity = self._aggregators[name]
-        except KeyError:
-            raise PregelError(f"unknown aggregator {name!r}") from None
-        current = self._current_aggregates.get(name, identity)
-        self._current_aggregates[name] = reduce_fn(current, value)
-
-    # -- superstep lifecycle ---------------------------------------------
-
-    def active_vertices(self) -> list[Vertex]:
-        """Vertices that will compute next superstep (shard order)."""
-        return [v for v in self.vertices
-                if v not in self.halted or v in self.inbox]
-
-    def has_active(self) -> bool:
-        return any(v not in self.halted or v in self.inbox
-                   for v in self.vertices)
 
     def run_superstep(self, superstep: int,
                       previous_aggregates: dict[str, Any],
@@ -141,19 +72,10 @@ class Worker:
             if injected_delay_ms:
                 work_span.set("injected_delay_ms", injected_delay_ms)
             self._previous_aggregates = previous_aggregates
-            self._current_aggregates = {}
-            self._next_local = {}
-            self._remote = {}
-            self._sent = 0
-            self._remote_raw = 0
-
             active = self.active_vertices()
-            run_local_superstep(
-                self, self._program, superstep, active,
-                self.values, self.inbox, self._out_edges, self.halted)
-            # This superstep's inbox is consumed; local sends become the
-            # start of the next one (remote partials arrive via deliver).
-            self.inbox = self._next_local
+            # Local sends become the next inbox; remote partials arrive
+            # there via deliver.
+            self._compute(superstep, active)
 
             routed = sum(len(msgs) for buffer in self._remote.values()
                          for msgs in buffer.values())
@@ -177,22 +99,17 @@ class Worker:
     def deliver(self, target: Vertex, messages: list[Any]) -> int:
         """Accept routed messages for a local vertex (next superstep).
 
-        With a combiner, routed partials fold into the inbox entry so
-        the receiving vertex sees a single combined message — the same
-        invariant the single-machine engine maintains. Returns the
-        number of messages accepted — the coordinator's barrier
-        accounting compares the sum against what was routed to detect
-        injected message loss/duplication.
+        Between supersteps the host's next-superstep box is the inbox,
+        so routed partials go through the host's ``_enqueue`` and a
+        combiner folds them into the inbox entry like any local send:
+        the receiving vertex sees a single combined message, as on the
+        single-machine engine. (The send counts it bumps were read when
+        the superstep closed.) Returns the number of messages accepted —
+        the coordinator's barrier accounting compares the sum against
+        what was routed to detect injected message loss/duplication.
         """
-        box = self.inbox
-        if self._combiner is not None:
-            for message in messages:
-                if target in box:
-                    box[target] = [self._combiner(box[target][0], message)]
-                else:
-                    box[target] = [message]
-        else:
-            box.setdefault(target, []).extend(messages)
+        for message in messages:
+            self._enqueue(target, message)
         return len(messages)
 
     # -- durability -------------------------------------------------------
@@ -209,7 +126,8 @@ class Worker:
         """Reset shard state from a checkpoint (respawn after a kill)."""
         self.values = dict(state["values"])
         self.halted = set(state["halted"])
-        self.inbox = {v: list(msgs) for v, msgs in state["inbox"].items()}
+        self.inbox = self._next_local = {
+            v: list(msgs) for v, msgs in state["inbox"].items()}
 
     def __repr__(self) -> str:
         return (f"Worker({self.name}, vertices={len(self.vertices)}, "

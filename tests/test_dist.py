@@ -1,6 +1,8 @@
 """The sharded BSP runtime: partitioning, equivalence with the
 single-machine engine, checkpointing, fault injection, and recovery."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import obs
@@ -454,3 +456,34 @@ class TestWorkloadIntegration:
     def test_distributed_unavailable_is_explicit(self, graph):
         with pytest.raises(ValueError, match="no distributed runner"):
             run_computation("Graph Coloring", graph, distributed=True)
+
+
+def halt_at_once(ctx):
+    ctx.vote_to_halt()
+
+
+class TestSuperstepBudget:
+    """Both runtimes spend the budget the same way: a run that needs n
+    supersteps finishes with ``max_supersteps=n`` and raises with
+    ``n - 1``."""
+
+    @pytest.mark.parametrize("make_spec", [
+        lambda g: PregelSpec(program=halt_at_once),
+        connected_components_spec,
+    ], ids=["halt-at-zero", "components"])
+    @pytest.mark.parametrize("k", [None, 1, 2], ids=["engine", "k1", "k2"])
+    def test_exact_budget_finishes_and_one_less_raises(self, make_spec, k):
+        g = Graph()
+        g.add_edge(1, 2)
+        spec = make_spec(g)
+        needed = spec.run(g).supersteps
+
+        def run(budget):
+            budgeted = replace(spec, max_supersteps=budget)
+            if k is None:
+                return budgeted.run(g)
+            return run_distributed_pregel(g, budgeted, k=k)
+
+        assert run(needed).supersteps == needed
+        with pytest.raises(PregelError, match="did not finish"):
+            run(needed - 1)

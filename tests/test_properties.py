@@ -488,3 +488,62 @@ def test_query_distinct_never_duplicates(labels, seed):
             g.add_edge(u, v, label="L")
     result = run_query(g, "MATCH (a)-[:L]->(b) RETURN DISTINCT a")
     assert len(result.rows) == len(set(result.rows))
+
+
+@st.composite
+def pregel_graphs(draw):
+    """Multigraphs of at most 12 vertices, directed or undirected, with
+    parallel edges and self-loops; vertices with no out-edges are the
+    isolated and (directed) dangling ones."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    g = Graph(directed=draw(st.booleans()), multigraph=True)
+    g.add_vertices(range(n))
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=30)):
+        g.add_edge(u, v)
+    return g
+
+
+def run_on_every_runtime(g, spec, seed):
+    """The engine's and dist k=3's results, asserting dist at k=1 is
+    the engine exactly: values, superstep count and per-superstep
+    active vertices, messages sent and aggregates."""
+    from repro.dist import run_distributed_pregel
+
+    engine = spec.run(g)
+    one, three = (run_distributed_pregel(g, spec, k=k, seed=seed,
+                                         partitioner="random")
+                  for k in (1, 3))
+    assert one.values == engine.values
+    assert one.supersteps == engine.supersteps
+    assert ([(s.active_vertices, s.messages_sent, s.aggregates)
+             for s in one.stats]
+            == [(s.active_vertices, s.messages_sent, s.aggregates)
+                for s in engine.stats])
+    assert list(three.values) == list(engine.values)
+    return engine, three
+
+
+@given(pregel_graphs(), st.integers(0, 1000))
+@settings(max_examples=40, deadline=None)
+def test_pregel_runtimes_agree_with_the_direct_kernels(g, seed):
+    from repro.dgps import connected_components_spec, pagerank_spec
+
+    # 400 supersteps: fewer leave some small graphs short of the
+    # converged fixed point the tolerance-driven kernel reaches.
+    engine, three = run_on_every_runtime(
+        g, pagerank_spec(g, supersteps=400), seed)
+    direct = pagerank(g, tol=1e-14, max_iter=2000)
+    for vertex, score in engine.values.items():
+        assert abs(score - direct[vertex]) <= 1e-9
+        # float sums group differently across shards
+        assert abs(three.values[vertex] - score) <= 1e-12
+
+    engine, three = run_on_every_runtime(
+        g, connected_components_spec(g), seed)
+    assert three.values == engine.values
+    groups = {}
+    for vertex, label in engine.values.items():
+        groups.setdefault(label, set()).add(vertex)
+    assert (sorted(map(sorted, groups.values()))
+            == sorted(map(sorted, connected_components(g))))
